@@ -1,9 +1,8 @@
 //! Seeded inputs: the dataset, the query streams, valuations, budgets and
 //! repricing patches.
 //!
-//! Every input is a pure function of `(seed, request index)`, so threads
-//! that claim indices in any order still issue the same request sequence,
-//! and a replay can regenerate request `i` without the run's state.
+//! Every input is a pure function of `(seed, request index)`, so a replay
+//! can regenerate request `i` without the run's state.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -179,11 +178,6 @@ impl UniformStream {
     /// The seller's expected valuation of query `j` (anticipated queries).
     pub fn valuation(&self, j: u64) -> f64 {
         rng(self.seed, VALUATION, j).gen_range(1.0..=VALUE_MAX)
-    }
-
-    /// The budget of the buyer who issues query `j`.
-    pub fn budget(&self, j: u64) -> f64 {
-        rng(self.seed, REQUEST, j).gen_range(1.0..=VALUE_MAX)
     }
 }
 

@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use stats::Values;
 
-const USAGE: &str = "usage: querybench --workload <quote-skewed|quote-uniform|serve-uniform> \
+const USAGE: &str = "usage: querybench --workload <quote-skewed|serve-uniform> \
 [--seed <u64>] [--seconds <1..=600>] [--trace <0|1>]
        querybench --help";
 
@@ -33,23 +33,16 @@ const USAGE: &str = "usage: querybench --workload <quote-skewed|quote-uniform|se
 pub enum Workload {
     /// In-process broker, Zipf(1) requests over the skewed workload.
     QuoteSkewed,
-    /// In-process broker, distinct uniform queries, each issued once.
-    QuoteUniform,
     /// Loopback server with a WAL, precomputed uniform bundles.
     ServeUniform,
 }
 
 impl Workload {
-    const ALL: [Workload; 3] = [
-        Workload::QuoteSkewed,
-        Workload::QuoteUniform,
-        Workload::ServeUniform,
-    ];
+    const ALL: [Workload; 2] = [Workload::QuoteSkewed, Workload::ServeUniform];
 
     fn name(self) -> &'static str {
         match self {
             Workload::QuoteSkewed => "quote-skewed",
-            Workload::QuoteUniform => "quote-uniform",
             Workload::ServeUniform => "serve-uniform",
         }
     }
@@ -248,8 +241,20 @@ fn git_rev() -> String {
     }
 }
 
-/// CPU affinity of the calling thread, and pinning to its first CPU.
-mod affinity {
+/// Set-up repetitions per run; `setup_s` and the `setup.*` metrics are
+/// their medians.
+pub const SETUP_REPS: usize = 5;
+
+/// CPU affinity. Set-up runs on every CPU the process started with, so
+/// the parallel conflict build uses all of them; the timed loops run
+/// confined to one CPU, because on a shared two-vCPU machine unpinned
+/// loops spread two to three times wider from one process to the next
+/// (see `README.md`). Affinity is per thread and inherited by threads
+/// spawned afterwards, so a workload pins before it starts any thread
+/// its loops talk to.
+pub mod affinity {
+    use std::sync::OnceLock;
+
     const WORDS: usize = 16;
 
     extern "C" {
@@ -258,7 +263,7 @@ mod affinity {
     }
 
     /// CPUs the calling thread may run on.
-    pub fn cpus() -> Vec<usize> {
+    pub fn current() -> Vec<usize> {
         let mut mask = [0u64; WORDS];
         // SAFETY: the kernel writes at most `size_of_val(&mask)` bytes into
         // `mask`, which outlives the call; pid 0 names the calling thread.
@@ -271,23 +276,44 @@ mod affinity {
             .collect()
     }
 
-    /// Confines the calling thread, and every thread it spawns afterwards,
-    /// to the first CPU it may run on. Returns that CPU.
-    pub fn pin_to_first() -> Option<usize> {
-        let cpu = *cpus().first()?;
+    fn set(cpus: &[usize]) -> bool {
         let mut mask = [0u64; WORDS];
-        mask[cpu / 64] = 1 << (cpu % 64);
+        for &c in cpus.iter().filter(|&&c| c < WORDS * 64) {
+            mask[c / 64] |= 1 << (c % 64);
+        }
         // SAFETY: the kernel reads `size_of_val(&mask)` bytes of `mask`,
         // which outlives the call; pid 0 names the calling thread.
         let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-        (rc == 0).then_some(cpu)
+        rc == 0
+    }
+
+    /// CPUs the process could run on when it started; the first call
+    /// records them, so `main` makes it before anything pins.
+    pub fn initial() -> &'static [usize] {
+        static INITIAL: OnceLock<Vec<usize>> = OnceLock::new();
+        INITIAL.get_or_init(current)
+    }
+
+    /// Confines the calling thread, and every thread it spawns afterwards,
+    /// to the first initial CPU.
+    pub fn pin() {
+        if let Some(&cpu) = initial().first() {
+            set(&[cpu]);
+        }
+    }
+
+    /// Lets the calling thread, and every thread it spawns afterwards, run
+    /// on every initial CPU again.
+    pub fn unpin() {
+        if !initial().is_empty() {
+            set(initial());
+        }
     }
 }
 
 fn run(args: &Args) -> Result<Report, String> {
     match args.workload {
-        Workload::QuoteSkewed => quote::run(&quote::Spec::skewed(), args),
-        Workload::QuoteUniform => quote::run(&quote::Spec::uniform(), args),
+        Workload::QuoteSkewed => quote::run(&quote::Spec::standard(), args),
         Workload::ServeUniform => serve::run(&serve::Spec::standard(), args),
     }
 }
@@ -306,10 +332,7 @@ fn main() -> ExitCode {
         }
     };
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    // The whole run, and every thread it starts, stays on one CPU: on a
-    // shared two-vCPU machine the unpinned runs spread two to three times
-    // wider from one process to the next (see `README.md`).
-    let pinned = affinity::pin_to_first();
+    let cpus = affinity::initial();
     let report = match run(&args) {
         Ok(report) => report,
         Err(msg) => {
@@ -335,13 +358,12 @@ fn main() -> ExitCode {
 
     let mut env = format!(
         "{{\"env\": {{\"workload\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \
-         \"cores\": {cores}, \"pinned_cpu\": {}, \"cpu_affinity\": {}, \"profile\": {}, \"git_rev\": {}",
+         \"cores\": {cores}, \"cpu_affinity\": {}, \"profile\": {}, \"git_rev\": {}",
         json_str(args.workload.name()),
         args.seed,
         args.seconds,
         u8::from(args.trace),
-        json_str(&pinned.map_or("none".into(), |c| c.to_string())),
-        json_str(&format!("{:?}", affinity::cpus())),
+        json_str(&format!("{cpus:?}")),
         json_str(if cfg!(debug_assertions) {
             "debug"
         } else {
@@ -397,6 +419,7 @@ mod tests {
         );
         for bad in [
             &["--workload", "tpch"][..],
+            &["--workload", "quote-uniform"],
             &["--workload", "quote-skewed", "--sed", "1"],
             &["--workload", "quote-skewed", "--seed", "x"],
             &["--workload", "quote-skewed", "--seconds", "0"],

@@ -1,10 +1,7 @@
-//! The in-process workloads `quote-skewed` and `quote-uniform`: client
-//! threads in a closed loop over one shared `Broker`, each request one
-//! quote followed by one settle.
+//! The in-process workload `quote-skewed`: one client in a closed loop
+//! over a `Broker`, each request one quote followed by one settle.
 
-use std::borrow::Cow;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use qp_core::ItemSet;
@@ -15,89 +12,48 @@ use qp_market::{
 use qp_pricing::{algorithms, BundlePricing, Hypergraph, Pricing};
 use qp_qdb::{Database, Query};
 
-use crate::inputs::{world_db, SkewedStream, UniformStream};
+use crate::inputs::{world_db, SkewedStream};
 use crate::stats::{loop_metrics, median, nanos, peak_rss_mb, share, Quantiles, Timing, Values};
-use crate::{Args, Report};
+use crate::{affinity, Args, Report, SETUP_REPS};
 
 /// Distinct queries per traced run checked against the naive engine.
 const ORACLE_QUERIES: usize = 100;
 /// Requests of the traced run whose queries are re-evaluated, timed, for
 /// the `eval.*` metrics.
 const EVAL_QUERIES: usize = 300;
-/// Requests per loop of `quote-uniform` whose price is recomputed.
-const PRICE_CHECKS: usize = 64;
+/// The pricing installed on the broker, fitted to every workload query.
+const ALGORITHM: &str = "LPIP";
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    Skewed,
-    Uniform,
-}
-
-/// The shape of one in-process workload.
+/// The shape of the in-process workload.
 pub struct Spec {
-    pub kind: Kind,
     /// Support databases `|S|`.
     pub support: usize,
-    /// Closed-loop client threads.
-    pub threads: usize,
-    /// Skewed: cut the workload to this many queries (`None`: all 338).
-    /// Uniform: anticipated queries the pricing is fitted to.
-    pub queries: Option<usize>,
-    pub algorithm: &'static str,
-    /// Set-up repetitions per run; `setup_s` is their median.
-    pub setup_reps: usize,
+    /// Cut the workload to its first `limit` queries (`None`: all 338).
+    pub limit: Option<usize>,
     /// Untimed requests before the timed loop.
     pub warmup: u64,
 }
 
 impl Spec {
-    /// 338 skewed queries, support 150, LPIP, one client (see `README.md`
-    /// for why not two).
-    pub fn skewed() -> Spec {
+    /// All 338 skewed queries, support 150.
+    pub fn standard() -> Spec {
         Spec {
-            kind: Kind::Skewed,
             support: 150,
-            threads: 1,
-            queries: None,
-            algorithm: "LPIP",
-            setup_reps: 3,
-            warmup: 400,
-        }
-    }
-
-    /// Distinct uniform queries, support 1000, UIP fitted to 400
-    /// anticipated queries, one client.
-    pub fn uniform() -> Spec {
-        Spec {
-            kind: Kind::Uniform,
-            support: 1000,
-            threads: 1,
-            queries: Some(400),
-            algorithm: "UIP",
-            setup_reps: 3,
+            limit: None,
             warmup: 400,
         }
     }
 }
 
-enum Source {
-    Skewed(SkewedStream),
-    Uniform {
-        stream: UniformStream,
-        /// Stream indices below this were anticipated in set-up; request
-        /// `i` issues stream query `anticipated + i`, so no request repeats
-        /// an anticipated query or another request.
-        anticipated: u64,
-    },
-}
-
-/// A built market: the broker and the request source.
+/// A built market: the broker and the request stream.
 pub struct Market {
     broker: Broker,
-    source: Source,
-    /// Skewed: the price of every workload query under the installed
-    /// pricing, from the set-up conflict sets. A quote must match it.
+    stream: SkewedStream,
+    /// The price of every workload query under the installed pricing, from
+    /// the set-up conflict sets. A quote must match it.
     expected: Vec<f64>,
+    /// Worker threads of the set-up conflict build.
+    conflict_threads: usize,
 }
 
 /// Seconds spent in each set-up phase.
@@ -137,6 +93,8 @@ pub struct Priced {
     /// Conflict sets of the anticipated queries, in their order.
     pub sets: Vec<ItemSet>,
     pub pricing: Pricing,
+    /// Worker threads the parallel conflict build used.
+    pub conflict_threads: usize,
 }
 
 /// The support, hypergraph and algorithm phases: samples `support`
@@ -153,7 +111,9 @@ pub fn price(
     let support = SupportSet::generate(db, &SupportConfig::with_size(support));
     let t1 = Instant::now();
     let queries: Vec<Query> = anticipated.iter().map(|(q, _)| q.clone()).collect();
-    let sets = ParallelConflictEngine::new(db, &support).conflict_sets(&queries);
+    let engine = ParallelConflictEngine::new(db, &support);
+    let sets = engine.conflict_sets(&queries);
+    let conflict_threads = engine.threads();
     let mut h = Hypergraph::new(support.len());
     for (set, (_, v)) in sets.iter().zip(anticipated) {
         h.add_edge_set(set.clone(), *v);
@@ -171,62 +131,42 @@ pub fn price(
         support,
         sets,
         pricing,
+        conflict_threads,
     })
 }
 
 /// Builds the market from scratch: dataset and queries, support, conflict
-/// sets of the anticipated queries, the pricing algorithm, the broker.
+/// sets of the workload queries, the pricing algorithm, the broker.
 pub fn setup(spec: &Spec, seed: u64) -> Result<(Market, SetupTimes), String> {
     let t0 = Instant::now();
     let db = world_db();
-    let (source, anticipated): (Source, Vec<(Query, f64)>) = match spec.kind {
-        Kind::Skewed => {
-            let stream = SkewedStream::new(&db, seed, spec.queries);
-            let pairs = stream
-                .queries
-                .iter()
-                .cloned()
-                .zip(stream.valuations.iter().copied())
-                .collect();
-            (Source::Skewed(stream), pairs)
-        }
-        Kind::Uniform => {
-            let stream = UniformStream::new(&db, seed);
-            let n = spec.queries.unwrap_or(0) as u64;
-            let pairs = (0..n)
-                .map(|j| (stream.query(j), stream.valuation(j)))
-                .collect();
-            (
-                Source::Uniform {
-                    stream,
-                    anticipated: n,
-                },
-                pairs,
-            )
-        }
-    };
+    let stream = SkewedStream::new(&db, seed, spec.limit);
+    let anticipated: Vec<(Query, f64)> = stream
+        .queries
+        .iter()
+        .cloned()
+        .zip(stream.valuations.iter().copied())
+        .collect();
     let mut times = SetupTimes {
         generate: t0.elapsed().as_secs_f64(),
         ..SetupTimes::default()
     };
-    let priced = price(&db, &anticipated, spec.support, spec.algorithm, &mut times)?;
+    let priced = price(&db, &anticipated, spec.support, ALGORITHM, &mut times)?;
     let t1 = Instant::now();
     let broker = Broker::with_support(db, priced.support);
     broker.set_pricing(priced.pricing);
     times.install = t1.elapsed().as_secs_f64();
-    let expected = match source {
-        Source::Skewed(_) => priced
-            .sets
-            .iter()
-            .map(|s| broker.pricing().price_set(s))
-            .collect(),
-        Source::Uniform { .. } => Vec::new(),
-    };
+    let expected = priced
+        .sets
+        .iter()
+        .map(|s| broker.pricing().price_set(s))
+        .collect();
     Ok((
         Market {
             broker,
-            source,
+            stream,
             expected,
+            conflict_threads: priced.conflict_threads,
         },
         times,
     ))
@@ -255,9 +195,8 @@ pub struct Layers {
 /// One completed request.
 #[derive(Debug, Clone)]
 pub struct Record {
-    pub index: u64,
-    /// Skewed: the workload query index.
-    pub query: Option<usize>,
+    /// The workload query index.
+    pub query: usize,
     pub quote_ns: u64,
     pub request_ns: u64,
     /// Completion time since the loop started.
@@ -271,7 +210,7 @@ pub struct Record {
 
 /// One measured loop.
 pub struct Run {
-    /// Records in request-index order.
+    /// Records in request order.
     pub records: Vec<Record>,
     pub elapsed: Duration,
 }
@@ -287,21 +226,9 @@ impl Run {
 }
 
 impl Market {
-    /// Request `i`: its query, skewed workload index, and budget.
-    fn request(&self, i: u64) -> (Cow<'_, Query>, Option<usize>, f64) {
-        match &self.source {
-            Source::Skewed(stream) => {
-                let (q, budget) = stream.request(i);
-                (Cow::Borrowed(&stream.queries[q]), Some(q), budget)
-            }
-            Source::Uniform {
-                stream,
-                anticipated,
-            } => {
-                let j = anticipated + i;
-                (Cow::Owned(stream.query(j)), None, stream.budget(j))
-            }
-        }
+    /// The query of a recorded request.
+    fn query_of(&self, record: &Record) -> &Query {
+        &self.stream.queries[record.query]
     }
 
     /// Issues request `i`. Untraced, it is `Broker::quote` then
@@ -309,10 +236,11 @@ impl Market {
     /// quote is split into the two calls `Broker::quote` makes,
     /// `conflict_set` and `price_set`, each timed.
     fn issue(&self, i: u64, traced: bool, origin: Instant) -> Record {
-        let (query, index, budget) = self.request(i);
+        let (index, budget) = self.stream.request(i);
+        let query = &self.stream.queries[index];
         let start = Instant::now();
         let (quote, quoted, layers) = if traced {
-            let conflict_set = self.broker.conflict_set(&query);
+            let conflict_set = self.broker.conflict_set(query);
             let t1 = Instant::now();
             let price = self.broker.pricing().price_set(&conflict_set);
             let t2 = Instant::now();
@@ -329,10 +257,10 @@ impl Market {
             };
             (quote, t2, Some(layers))
         } else {
-            let quote = self.broker.quote(&query);
+            let quote = self.broker.quote(query);
             (quote, Instant::now(), None)
         };
-        let outcome = self.broker.settle(&quote, &query, budget, 0);
+        let outcome = self.broker.settle(&quote, query, budget, 0);
         let end = Instant::now();
         let (ok, sold) = match outcome {
             Ok(PurchaseOutcome::Sold { .. }) => (true, true),
@@ -340,7 +268,6 @@ impl Market {
             Err(_) => (false, false),
         };
         Record {
-            index: i,
             query: index,
             quote_ns: nanos(quoted - start),
             request_ns: nanos(end - start),
@@ -355,64 +282,38 @@ impl Market {
         }
     }
 
-    /// Runs `threads` closed-loop clients over request indices `first..`
-    /// until `stop`. Each client checks the clock before claiming an
-    /// index, so the completed indices are contiguous.
-    pub fn drive(&self, threads: usize, first: u64, stop: Stop, traced: bool) -> Run {
-        let next = AtomicU64::new(first);
+    /// One closed-loop client: issues requests `first..` until `stop`,
+    /// each when the previous one has completed.
+    pub fn drive(&self, first: u64, stop: Stop, traced: bool) -> Run {
         let start = Instant::now();
         let (deadline, limit) = match stop {
             Stop::After(d) => (Some(start + d), u64::MAX),
             Stop::Requests(n) => (None, first + n),
         };
-        let mut records: Vec<Record> = std::thread::scope(|scope| {
-            let clients: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        while deadline.is_none_or(|d| Instant::now() < d) {
-                            // ordering: Relaxed — a ticket counter; the
-                            // records travel back through `join`.
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= limit {
-                                break;
-                            }
-                            out.push(self.issue(i, traced, start));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            clients
-                .into_iter()
-                .flat_map(|c| c.join().expect("client thread panicked"))
-                .collect()
-        });
-        let elapsed = start.elapsed();
-        records.sort_by_key(|r| r.index);
-        Run { records, elapsed }
+        let mut records = Vec::new();
+        let mut i = first;
+        while i < limit && deadline.is_none_or(|d| Instant::now() < d) {
+            records.push(self.issue(i, traced, start));
+            i += 1;
+        }
+        Run {
+            records,
+            elapsed: start.elapsed(),
+        }
     }
 
-    /// The query of a recorded request.
-    fn query_of(&self, record: &Record) -> Cow<'_, Query> {
-        self.request(record.index).0
-    }
-
-    /// Output checks over every loop run on this market.
+    /// Output checks over every loop run on this market, in the order they
+    /// ran.
     pub fn check(&self, runs: &[&Run], failures: &mut Vec<String>) {
-        // The ledger holds exactly the sales this benchmark saw, compared
-        // as a multiset of price bits: two clients interleave the ledger's
-        // order, and no check may depend on float summation order.
+        let records = || runs.iter().flat_map(|r| &r.records);
+        // The ledger holds exactly the sales this benchmark saw, in order
+        // and bit for bit, and its revenue is their in-order sum.
         let ledger = self.broker.ledger();
-        let mut booked: Vec<u64> = ledger.sales().iter().map(|s| s.price.to_bits()).collect();
-        let mut tallied: Vec<u64> = runs
-            .iter()
-            .flat_map(|r| &r.records)
+        let booked: Vec<u64> = ledger.sales().iter().map(|s| s.price.to_bits()).collect();
+        let tallied: Vec<u64> = records()
             .filter(|r| r.sold)
             .map(|r| r.price.to_bits())
             .collect();
-        booked.sort_unstable();
-        tallied.sort_unstable();
         if booked != tallied {
             failures.push(format!(
                 "ledger holds {} sales, the benchmark tallied {} (or their prices differ)",
@@ -420,41 +321,25 @@ impl Market {
                 tallied.len()
             ));
         }
-        let attempted: usize = runs.iter().map(|r| r.records.len()).sum();
+        let tally: f64 = records().filter(|r| r.sold).map(|r| r.price).sum();
+        if ledger.total().to_bits() != tally.to_bits() {
+            failures.push(format!(
+                "ledger revenue {} differs from the tally {tally}",
+                ledger.total()
+            ));
+        }
+        let attempted = records().count();
         if ledger.len() + ledger.declined_count() != attempted {
             failures.push(format!(
                 "ledger marks {} settles for {attempted} requests",
                 ledger.len() + ledger.declined_count()
             ));
         }
-        for run in runs {
-            match &self.source {
-                Source::Skewed(_) => {
-                    let wrong = run
-                        .records
-                        .iter()
-                        .filter(|r| {
-                            r.query
-                                .is_some_and(|q| r.price.to_bits() != self.expected[q].to_bits())
-                        })
-                        .count();
-                    if wrong > 0 {
-                        failures.push(format!("{wrong} quotes differ from the set-up price"));
-                    }
-                }
-                Source::Uniform { .. } => {
-                    for r in run.records.iter().take(PRICE_CHECKS) {
-                        let set = self.broker.conflict_set(&self.query_of(r));
-                        let price = self.broker.pricing().price_set(&set);
-                        if price.to_bits() != r.price.to_bits() {
-                            failures.push(format!(
-                                "request {} quoted {} not {price}",
-                                r.index, r.price
-                            ));
-                        }
-                    }
-                }
-            }
+        let wrong = records()
+            .filter(|r| r.price.to_bits() != self.expected[r.query].to_bits())
+            .count();
+        if wrong > 0 {
+            failures.push(format!("{wrong} quotes differ from the set-up price"));
         }
     }
 
@@ -512,10 +397,7 @@ impl Market {
         let distinct: Vec<&Record> = traced
             .records
             .iter()
-            .filter(|r| match r.query {
-                Some(q) => seen.insert(q),
-                None => true,
-            })
+            .filter(|r| seen.insert(r.query))
             .collect();
         values.insert("conflict.distinct_share", share(distinct.len() as f64, n));
         let (db, support) = (self.broker.database(), self.broker.support());
@@ -526,7 +408,7 @@ impl Market {
             .iter()
             .filter(|r| {
                 let q = self.query_of(r);
-                delta_engine.conflict_set(&q) != naive_engine.conflict_set(&q)
+                delta_engine.conflict_set(q) != naive_engine.conflict_set(q)
             })
             .count();
         values.insert("conflict.oracle_checked", checked.len() as f64);
@@ -554,15 +436,16 @@ impl Market {
     }
 }
 
-/// One benchmark run of an in-process workload.
+/// One benchmark run of `quote-skewed`.
 pub fn run(spec: &Spec, args: &Args) -> Result<Report, String> {
     let mut times = Vec::new();
     let mut market: Option<Market> = None;
     let mut fingerprint: Option<Vec<u64>> = None;
     let mut report = Report::default();
-    for _ in 0..spec.setup_reps.max(1) {
+    for _ in 0..SETUP_REPS {
         // Drop the previous market before building the next one.
         drop(market.take());
+        affinity::unpin();
         let (m, t) = setup(spec, args.seed)?;
         // Every repetition must install the same pricing.
         let prices: Vec<u64> = m.expected.iter().map(|p| p.to_bits()).collect();
@@ -582,17 +465,18 @@ pub fn run(spec: &Spec, args: &Args) -> Result<Report, String> {
         market = Some(m);
     }
     let market = market.expect("at least one set-up");
+    affinity::pin();
     let seconds = Duration::from_secs(args.seconds);
 
     // A fixed-count warm-up; memory is read after it, so the figure does
     // not depend on how many requests the timed loop fits in.
-    let warm = market.drive(spec.threads, 0, Stop::Requests(spec.warmup), false);
+    let warm = market.drive(0, Stop::Requests(spec.warmup), false);
     let rss = peak_rss_mb();
-    let plain = market.drive(spec.threads, spec.warmup, Stop::After(seconds), false);
+    let plain = market.drive(spec.warmup, Stop::After(seconds), false);
     let next = spec.warmup + plain.records.len() as u64;
     let traced = args
         .trace
-        .then(|| market.drive(spec.threads, next, Stop::After(seconds), true));
+        .then(|| market.drive(next, Stop::After(seconds), true));
     let mut runs = vec![&warm, &plain];
     runs.extend(traced.as_ref());
     market.check(&runs, &mut report.failures);
@@ -625,7 +509,9 @@ pub fn run(spec: &Spec, args: &Args) -> Result<Report, String> {
     }
 
     report.notes = vec![
-        ("client_threads", spec.threads.to_string()),
+        ("client_threads", "1".into()),
+        ("conflict_threads", market.conflict_threads.to_string()),
+        ("loop_cpus", format!("{:?}", affinity::current())),
         ("fsync", "none (no store)".into()),
         ("support", spec.support.to_string()),
         ("warmup_requests", spec.warmup.to_string()),
@@ -643,66 +529,54 @@ pub fn run(spec: &Spec, args: &Args) -> Result<Report, String> {
 mod tests {
     use super::*;
 
-    fn small(kind: Kind, threads: usize) -> Spec {
-        Spec {
-            kind,
-            support: 80,
-            threads,
-            queries: Some(60),
-            algorithm: if kind == Kind::Skewed { "LPIP" } else { "UIP" },
-            setup_reps: 1,
-            warmup: 0,
-        }
-    }
-
-    fn revenue_bits(run: &Run) -> Vec<u64> {
-        let mut v: Vec<u64> = run
-            .records
-            .iter()
-            .filter(|r| r.sold)
-            .map(|r| r.price.to_bits())
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     #[test]
     fn same_seed_gives_same_requests_and_revenue() {
-        for kind in [Kind::Skewed, Kind::Uniform] {
-            let spec = small(kind, 2);
-            let (a, _) = setup(&spec, 11).unwrap();
-            let (b, _) = setup(&spec, 11).unwrap();
-            let ra = a.drive(2, 0, Stop::Requests(60), false);
-            let rb = b.drive(2, 0, Stop::Requests(60), false);
-            assert_eq!(ra.records.len(), 60);
-            for (x, y) in ra.records.iter().zip(&rb.records) {
-                assert_eq!(
-                    format!("{:?}", a.query_of(x)),
-                    format!("{:?}", b.query_of(y))
-                );
-                assert_eq!(
-                    (x.index, x.price.to_bits(), x.sold),
-                    (y.index, y.price.to_bits(), y.sold)
-                );
-            }
-            assert_eq!(revenue_bits(&ra), revenue_bits(&rb));
-            assert_eq!(a.broker.ledger().len(), revenue_bits(&ra).len());
-            let mut failures = Vec::new();
-            a.check(&[&ra], &mut failures);
-            assert!(failures.is_empty(), "{failures:?}");
+        let spec = Spec {
+            support: 80,
+            limit: Some(60),
+            warmup: 0,
+        };
+        let (a, _) = setup(&spec, 11).unwrap();
+        let (b, _) = setup(&spec, 11).unwrap();
+        let ra = a.drive(0, Stop::Requests(60), false);
+        let rb = b.drive(0, Stop::Requests(60), false);
+        assert_eq!(ra.records.len(), 60);
+        for (x, y) in ra.records.iter().zip(&rb.records) {
+            assert_eq!(
+                (x.query, x.price.to_bits(), x.sold),
+                (y.query, y.price.to_bits(), y.sold)
+            );
         }
+        assert_eq!(
+            a.broker.ledger().total().to_bits(),
+            b.broker.ledger().total().to_bits()
+        );
+        assert!(!a.broker.ledger().is_empty());
+        let mut failures = Vec::new();
+        a.check(&[&ra], &mut failures);
+        assert!(failures.is_empty(), "{failures:?}");
     }
 
-    /// The traced loop's layer times account for the untraced request
-    /// time, to within the measured trace overhead plus a margin for the
-    /// client loop and timer noise.
+    /// On the gated workload, the traced layer times sum to the traced
+    /// request time, and account for the untraced request time through the
+    /// run's `trace.overhead_share`: the overhead the layer sums imply,
+    /// `1 − untraced ÷ traced` request time, is that share to within
+    /// `MARGIN`.
+    ///
+    /// Both loops issue the same requests, so machine noise moves the
+    /// request times and the throughput alike. What separates the two
+    /// figures is the client's bookkeeping between requests, which counts
+    /// in throughput but not in request time: under 1 µs of a 4 ms mean
+    /// request. Over eight runs of this test the two differed by at most
+    /// 0.00012 while the overhead itself ranged from −0.10 to 0.14;
+    /// `MARGIN` leaves over ten times that difference.
     #[test]
     fn traced_layers_account_for_untraced_request_time() {
-        let spec = small(Kind::Skewed, 1);
-        let (market, _) = setup(&spec, 5).unwrap();
-        market.drive(1, 0, Stop::Requests(100), false);
-        let plain = market.drive(1, 0, Stop::Requests(400), false);
-        let traced = market.drive(1, 0, Stop::Requests(400), true);
+        const MARGIN: f64 = 0.002;
+        let (market, _) = setup(&Spec::standard(), 5).unwrap();
+        market.drive(0, Stop::Requests(100), false);
+        let plain = market.drive(0, Stop::Requests(600), false);
+        let traced = market.drive(0, Stop::Requests(600), true);
         let layer_sum: u64 = traced
             .records
             .iter()
@@ -711,16 +585,19 @@ mod tests {
                     .map_or(0, |l| l.conflict_ns + l.price_ns + l.settle_ns)
             })
             .sum();
-        let untraced: u64 = plain.records.iter().map(|r| r.request_ns).sum();
-        let overhead = 1.0 - traced.throughput() / plain.throughput();
-        let gap = (layer_sum as f64 / untraced as f64 - 1.0).abs();
-        assert!(
-            gap <= overhead.abs() + 0.15,
-            "layers {layer_sum} ns vs untraced {untraced} ns, overhead {overhead}"
-        );
+        let traced_busy: u64 = traced.records.iter().map(|r| r.request_ns).sum();
+        assert_eq!(layer_sum, traced_busy);
         let mut values = Values::new();
         market.layer_values(&plain, &traced, &mut values);
-        assert_eq!(values["conflict.calls"], 400.0);
+        let overhead = values["trace.overhead_share"];
+        let untraced: u64 = plain.records.iter().map(|r| r.request_ns).sum();
+        let implied = 1.0 - untraced as f64 / layer_sum as f64;
+        assert!(
+            (implied - overhead).abs() <= MARGIN,
+            "layers {layer_sum} ns vs untraced {untraced} ns: implied overhead {implied}, \
+             measured {overhead}"
+        );
+        assert_eq!(values["conflict.calls"], 600.0);
         assert!(values["conflict.share"] > 0.0 && values["conflict.share"] < 1.0);
     }
 }

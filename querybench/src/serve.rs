@@ -24,7 +24,7 @@ use qp_telemetry::TelemetrySink;
 use crate::inputs::{bundle_request, patch_weight, world_db, UniformStream};
 use crate::quote::{price, Priced, SetupTimes, Stop};
 use crate::stats::{loop_metrics, nanos, peak_rss_mb, share, Quantiles, Timing};
-use crate::{Args, Report};
+use crate::{affinity, Args, Report, SETUP_REPS};
 
 /// Requests whose QUOTE frame is encoded and decoded again, timed, for
 /// the `codec.*` metrics.
@@ -37,7 +37,6 @@ pub struct Spec {
     /// fitted to them.
     pub bundles: usize,
     pub reprice_every: u64,
-    pub setup_reps: usize,
     /// Untimed requests before the timed loop.
     pub warmup: u64,
 }
@@ -48,7 +47,6 @@ impl Spec {
             support: 1000,
             bundles: 400,
             reprice_every: 500,
-            setup_reps: 3,
             warmup: 5000,
         }
     }
@@ -65,14 +63,21 @@ struct Served {
     pricing: Pricing,
     bundles: Vec<ItemSet>,
     base_weight: f64,
+    /// Worker threads of the set-up conflict build.
+    conflict_threads: usize,
 }
 
+/// Builds the market and starts the server. The conflict build runs on
+/// every CPU the process started with; the server, its store and the
+/// calling thread are then confined to one CPU, before the server spawns
+/// its threads.
 fn setup(
     spec: &Spec,
     seed: u64,
     dir: &Path,
     sink: TelemetrySink,
 ) -> Result<(Served, SetupTimes), String> {
+    affinity::unpin();
     let t0 = Instant::now();
     let db = world_db();
     let stream = UniformStream::new(&db, seed);
@@ -87,7 +92,9 @@ fn setup(
         support,
         sets: bundles,
         pricing,
+        conflict_threads,
     } = price(&db, &anticipated, spec.support, "UIP", &mut times)?;
+    affinity::pin();
     // Kept for the replay; copied outside the timed phases.
     let (db_copy, support_copy, pricing_copy) = (db.clone(), support.clone(), pricing.clone());
     let base_weight = *pricing
@@ -115,6 +122,7 @@ fn setup(
         pricing: pricing_copy,
         bundles,
         base_weight,
+        conflict_threads,
     };
     Ok((served, times))
 }
@@ -348,7 +356,7 @@ fn run_in(spec: &Spec, args: &Args, dirs: &mut Vec<PathBuf>) -> Result<Report, S
     let mut report = Report::default();
     let mut times = Vec::new();
     let mut served: Option<Served> = None;
-    for k in 0..spec.setup_reps.max(1) {
+    for k in 0..SETUP_REPS {
         if let Some(old) = served.take() {
             teardown(old);
         }
@@ -358,6 +366,7 @@ fn run_in(spec: &Spec, args: &Args, dirs: &mut Vec<PathBuf>) -> Result<Report, S
         served = Some(s);
     }
     let mut served = served.expect("at least one set-up");
+    let conflict_threads = served.conflict_threads;
     let seconds = Duration::from_secs(args.seconds);
     let plain = measure(spec, args.seed, &mut served, Stop::After(seconds))?;
     check(&plain, &mut report.failures);
@@ -465,6 +474,8 @@ fn run_in(spec: &Spec, args: &Args, dirs: &mut Vec<PathBuf>) -> Result<Report, S
 
     report.notes = vec![
         ("client_threads", "1".into()),
+        ("conflict_threads", conflict_threads.to_string()),
+        ("loop_cpus", format!("{:?}", affinity::current())),
         ("fsync", format!("{:?}", FsyncPolicy::default())),
         ("snapshot_every", DEFAULT_SNAPSHOT_EVERY.to_string()),
         ("reprice_every", spec.reprice_every.to_string()),
@@ -521,7 +532,6 @@ mod tests {
             support: 120,
             bundles: 20,
             reprice_every: 25,
-            setup_reps: 1,
             warmup: 30,
         };
         let mut revenue = Vec::new();
