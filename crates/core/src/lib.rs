@@ -15,8 +15,6 @@
 //! * [`set`](ItemSet) — inline small-set representation (1–2 blocks without
 //!   heap allocation, spilling transparently) plus single-block fast paths
 //!   and chunked autovectorization-friendly loops;
-//! * [`arena`](BlockArena) — [`BlockArena`]/[`QuoteScratch`] recycle spilled
-//!   block buffers and batch containers across quote batches;
 //! * [`mod@reference`] — the scalar, allocate-per-call kernels kept as the
 //!   differential-test oracle and benchmark baseline;
 //! * [`ring`](RingBuffer) — the bounded overwrite-oldest buffer backing
@@ -24,12 +22,10 @@
 //! * [`codec`] — CRC-32 and the little-endian byte-cursor primitives the
 //!   `qp-store` WAL/snapshot record formats are framed with.
 
-mod arena;
 pub mod codec;
 pub mod reference;
 mod ring;
 mod set;
 
-pub use arena::{BlockArena, QuoteScratch};
 pub use ring::RingBuffer;
 pub use set::{ItemSet, Iter, INLINE_BLOCKS};

@@ -15,10 +15,9 @@
 //!
 //! The spill is one-way within a set's lifetime ([`ItemSet::clear`] and the
 //! shrinking operators keep a spilled set's buffer so it can be refilled
-//! allocation-free; `qp_core::BlockArena` recycles the buffers across
-//! sets), but **never observable**: every comparison, hash, and ordering
-//! goes through the logical block slice ([`ItemSet::as_blocks`]), so an
-//! inline set and a heap set holding the same items are equal, hash equal
+//! allocation-free), but **never observable**: every comparison, hash, and
+//! ordering goes through the logical block slice ([`ItemSet::as_blocks`]), so
+//! an inline set and a heap set holding the same items are equal, hash equal
 //! (both `std::hash::Hash` and [`ItemSet::stable_hash`]), and compare equal
 //! — the representation-independence the quote caches and shard router
 //! rely on.
@@ -174,22 +173,14 @@ impl ItemSet {
 
     /// A heap-backed set from raw blocks, normalizing trailing zeros but
     /// **keeping the heap representation** even when the result would fit
-    /// inline — the constructor arena recycling and the scalar reference
-    /// kernels use so spilled buffers survive.
+    /// inline — the constructor the scalar reference kernels use so spilled
+    /// buffers survive.
     pub(crate) fn from_heap_blocks(mut blocks: Vec<u64>) -> ItemSet {
         while blocks.last() == Some(&0) {
             blocks.pop();
         }
         ItemSet {
             repr: Repr::Heap(blocks),
-        }
-    }
-
-    /// The spilled buffer, if this set has one (empty or not).
-    pub(crate) fn take_heap(self) -> Option<Vec<u64>> {
-        match self.repr {
-            Repr::Heap(v) => Some(v),
-            Repr::Inline { .. } => None,
         }
     }
 

@@ -348,8 +348,8 @@ impl Scope<'_> {
     }
 
     /// `alloc-in-kernel` covers only the cache-hot kernel modules, where
-    /// the allocation discipline (arena + double-buffer reuse) is the
-    /// optimization being protected.
+    /// the allocation discipline (double-buffer reuse) is the optimization
+    /// being protected.
     fn alloc_kernel(&self) -> bool {
         KERNEL_MODULES.contains(&self.rel)
     }
@@ -512,7 +512,7 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
                             "alloc-in-kernel",
                             format!(
                                 "`{}` in a kernel module — reuse a buffer \
-                                 (arena/double-buffer) or justify with an \
+                                 (double-buffer) or justify with an \
                                  `// alloc:` comment",
                                 pat.trim_end_matches('<')
                             ),

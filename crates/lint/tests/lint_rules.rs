@@ -82,7 +82,7 @@ fn alloc_kernel_rule_fires_exactly_where_seeded() {
     let v = lint_source("crates/pricing/src/algorithms/incremental.rs", src);
     assert_eq!(fired(&v).len(), 3, "both kernel modules are in scope");
     // The same source is fine anywhere outside the kernel modules.
-    assert!(lint_source("crates/core/src/arena.rs", src).is_empty());
+    assert!(lint_source("crates/core/src/ring.rs", src).is_empty());
     assert!(lint_source("crates/market/src/broker.rs", src).is_empty());
 }
 

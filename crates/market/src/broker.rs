@@ -2,12 +2,12 @@
 //!
 //! A [`Broker`] owns the seller's database, a sampled support set, and a
 //! pricing function, and exposes the operations a data marketplace needs:
-//! quote a price for an incoming query (singly or in batches), execute a
-//! purchase (returning the answer when the buyer can afford it), and keep a
-//! per-sale revenue ledger. The pricing function lives behind a
-//! [`parking_lot::RwLock`], so a live broker can be **re-priced under read
-//! traffic**: `set_pricing(&self, ...)` takes a shared reference and swaps
-//! the function atomically while other threads keep quoting.
+//! quote a price for an incoming query, execute a purchase (returning the
+//! answer when the buyer can afford it), and keep a per-sale revenue ledger.
+//! The pricing function lives behind a [`parking_lot::RwLock`], so a live
+//! broker can be **re-priced under read traffic**: `set_pricing(&self, ...)`
+//! takes a shared reference and swaps the function atomically while other
+//! threads keep quoting.
 //!
 //! Brokers are assembled with [`BrokerBuilder`]: database → support set →
 //! pricing algorithm selected from the [`qp_pricing::algorithms`] registry
@@ -69,7 +69,7 @@ use parking_lot::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
-use qp_core::{ItemSet, QuoteScratch};
+use qp_core::ItemSet;
 use qp_pricing::algorithms::{self, CipConfig, LpipConfig, PricingPatch};
 use qp_pricing::{BundlePricing, Hypergraph, Pricing};
 use qp_qdb::{Database, QdbError, Query, Relation};
@@ -391,16 +391,6 @@ pub struct Broker {
     /// contract this gives layered caches).
     epoch: AtomicU64,
     ledger: Mutex<RevenueLedger>,
-    /// Arena-backed batch scratch reused across [`Broker::quote_batch`]
-    /// calls (sets, claim slots, and — via [`Broker::recycle_quotes`] —
-    /// spilled conflict-set buffers). Guarded by its own mutex so
-    /// concurrent batches stay correct; a contended call falls back to a
-    /// throwaway scratch rather than serializing (see `quote_batch_into`).
-    /// Never held across the `pricing` lock boundary in a way that breaks
-    /// the leaf-lock rule: `pricing` is acquired *after* (inside) the
-    /// scratch lock and released first, and no scratch-holding path takes
-    /// any further lock.
-    scratch: Mutex<QuoteScratch>,
     /// Durability hook: when present, settles and observable repricings
     /// append WAL records before returning. Settle appends happen under
     /// the `ledger` lock so the WAL's record order always equals the
@@ -424,8 +414,6 @@ struct BrokerTelemetry {
     conflict: SpanHandle,
     /// `broker.price` — pricing-function read inside a quote.
     price: SpanHandle,
-    /// `broker.batch` — a whole `quote_batch_into` call.
-    batch: SpanHandle,
     /// `reprice.apply` — installing a pricing swap or patch.
     reprice: SpanHandle,
     /// `settle.ledger` — settling a quote into the revenue ledger.
@@ -441,7 +429,6 @@ impl BrokerTelemetry {
         BrokerTelemetry {
             conflict: sink.span_handle("broker.conflict"),
             price: sink.span_handle("broker.price"),
-            batch: sink.span_handle("broker.batch"),
             reprice: sink.span_handle("reprice.apply"),
             settle: sink.span_handle("settle.ledger"),
             quotes: sink.counter("broker.quote"),
@@ -473,7 +460,6 @@ impl Broker {
             pricing: RwLock::new(Pricing::zero_items(n)),
             epoch: AtomicU64::new(0),
             ledger: Mutex::new(RevenueLedger::default()),
-            scratch: Mutex::new(QuoteScratch::new()),
             store: None,
             telemetry: BrokerTelemetry::default(),
         }
@@ -673,76 +659,6 @@ impl Broker {
         }
     }
 
-    /// Quotes a batch of queries, fanning conflict-set computation across
-    /// the [`ParallelConflictEngine`]'s workers and reading the pricing
-    /// function once.
-    ///
-    /// Equivalent to calling [`Broker::quote`] per query (and the test suite
-    /// holds it to that), but parallelizes the per-query conflict sets; the
-    /// batch is priced against a single consistent pricing snapshot even if
-    /// another thread swaps the pricing mid-batch. Conflict sets — the
-    /// dominant cost — are computed *before* the pricing lock is taken, so a
-    /// long batch never stalls [`Broker::set_pricing`] (or quoters queued
-    /// behind a writer).
-    pub fn quote_batch(&self, queries: &[Query]) -> Vec<QuotedQuery> {
-        let mut quotes = Vec::with_capacity(queries.len());
-        self.quote_batch_into(queries, &mut quotes);
-        quotes
-    }
-
-    /// [`Broker::quote_batch`] writing into a caller-owned quote buffer
-    /// (cleared first), reusing the broker's arena-backed scratch so
-    /// steady-state batch quoting performs no per-set heap allocation.
-    ///
-    /// The scratch (conflict sets, claim slots, recycled block buffers) is
-    /// shared across batches under its own mutex; a batch arriving while
-    /// another holds it quotes through a throwaway scratch instead of
-    /// waiting — correctness never depends on reuse. Pair with
-    /// [`Broker::recycle_quotes`] to return the conflict-set buffers once
-    /// the quotes are dead.
-    pub fn quote_batch_into(&self, queries: &[Query], out: &mut Vec<QuotedQuery>) {
-        let _span = self.telemetry.batch.enter();
-        self.telemetry.quotes.add(queries.len() as u64);
-        out.clear();
-        let engine = ParallelConflictEngine::new(&self.db, &self.support);
-        let mut local;
-        let mut shared = self.scratch.try_lock();
-        let scratch = match shared.as_deref_mut() {
-            Some(scratch) => scratch,
-            None => {
-                // alloc: contended fallback — another batch owns the shared
-                // scratch; a fresh one keeps both batches running.
-                local = QuoteScratch::new();
-                &mut local
-            }
-        };
-        // Conflict sets — the dominant cost — are computed before the
-        // pricing lock is taken, so a long batch never stalls
-        // `set_pricing`. Holding the scratch mutex across the pricing read
-        // is legal: `pricing` stays a leaf (acquired last, released first),
-        // and no other path takes the scratch lock while holding `pricing`.
-        engine.conflict_sets_scratch(queries, scratch);
-        let pricing = self.pricing.read();
-        out.extend(scratch.sets.drain(..).map(|conflict_set| {
-            let price = pricing.price_set(&conflict_set);
-            QuotedQuery {
-                conflict_set,
-                price,
-            }
-        }));
-    }
-
-    /// Returns dead quotes' conflict-set buffers to the broker's arena, so
-    /// the next [`Broker::quote_batch_into`] batch can rebuild its sets
-    /// without heap allocation. `quotes` is drained; dropping quotes
-    /// instead is always safe — the arena just allocates anew.
-    pub fn recycle_quotes(&self, quotes: &mut Vec<QuotedQuery>) {
-        let mut scratch = self.scratch.lock();
-        for quote in quotes.drain(..) {
-            scratch.arena.recycle(quote.conflict_set);
-        }
-    }
-
     /// Attempts to sell `query` to a buyer with the given `budget`.
     ///
     /// On success the query is evaluated on the real database and the answer
@@ -880,8 +796,7 @@ mod tests {
     fn builder_selects_algorithms_from_the_registry() {
         let broker = priced_broker();
         // The anticipated queries are priced: at least one quote is positive.
-        let quotes = broker.quote_batch(&buyer_queries());
-        assert!(quotes.iter().any(|q| q.price > 0.0));
+        assert!(buyer_queries().iter().any(|q| broker.quote(q).price > 0.0));
 
         let Err(err) = Broker::builder(db()).algorithm("nope").build() else {
             panic!("unknown algorithm must fail the build");
@@ -897,40 +812,6 @@ mod tests {
             let quote = broker.quote(&q);
             assert!(quote.price >= 0.0);
             assert_eq!(quote.price, broker.pricing().price_set(&quote.conflict_set));
-        }
-    }
-
-    #[test]
-    fn quote_batch_matches_per_query_quotes() {
-        let broker = priced_broker();
-        let queries = buyer_queries();
-        let batch = broker.quote_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for (q, b) in queries.iter().zip(&batch) {
-            let single = broker.quote(q);
-            assert_eq!(single.conflict_set, b.conflict_set);
-            assert_eq!(single.price, b.price);
-        }
-    }
-
-    #[test]
-    fn quote_batch_into_reuses_buffers_and_recycling_changes_nothing() {
-        let broker = priced_broker();
-        let queries = buyer_queries();
-        let reference = broker.quote_batch(&queries);
-        let mut quotes = Vec::new();
-        // Several rounds through the same buffers, recycling between them:
-        // prices and conflict sets must match the fresh-allocation path
-        // every time.
-        for round in 0..3 {
-            broker.quote_batch_into(&queries, &mut quotes);
-            assert_eq!(quotes.len(), reference.len(), "round {round}");
-            for (a, b) in quotes.iter().zip(&reference) {
-                assert_eq!(a.conflict_set, b.conflict_set);
-                assert_eq!(a.price, b.price);
-            }
-            broker.recycle_quotes(&mut quotes);
-            assert!(quotes.is_empty(), "recycling drains the batch");
         }
     }
 

@@ -30,33 +30,18 @@
 
 use std::collections::HashMap;
 
-use qp_core::{ItemSet, QuoteScratch};
+use qp_core::ItemSet;
 use qp_pricing::Hypergraph;
 use qp_qdb::{Database, DeltaInstance, QdbError, Query, Relation, Schema, Tuple, Value};
 
-use crate::parallel::claim_map_into;
+use crate::parallel::claim_map;
 use crate::support::SupportSet;
 
 /// A conflict-set engine bound to a database and a support set.
 pub trait ConflictEngine {
     /// The indices (into the support set) of the databases in conflict with
     /// `query`'s answer on the base database.
-    ///
-    /// The default allocates a fresh set and delegates to
-    /// [`ConflictEngine::conflict_set_into`].
-    fn conflict_set(&self, query: &Query) -> ItemSet {
-        let mut out = ItemSet::new();
-        self.conflict_set_into(query, &mut out);
-        out
-    }
-
-    /// Computes the conflict set into a caller-owned set, clearing it first.
-    ///
-    /// This is the allocation-free entry point of the hot quote path: `out`
-    /// keeps any spilled block buffer across calls (see
-    /// [`ItemSet::clear`]), so recycled sets from a `qp_core::BlockArena`
-    /// make repeated batches allocation-free in steady state.
-    fn conflict_set_into(&self, query: &Query, out: &mut ItemSet);
+    fn conflict_set(&self, query: &Query) -> ItemSet;
 
     /// Number of support databases.
     fn support_size(&self) -> usize;
@@ -105,12 +90,6 @@ impl<'a> NaiveConflictEngine<'a> {
 impl ConflictEngine for NaiveConflictEngine<'_> {
     fn conflict_set(&self, query: &Query) -> ItemSet {
         let mut out = ItemSet::with_capacity(self.support.len());
-        self.conflict_set_into(query, &mut out);
-        out
-    }
-
-    fn conflict_set_into(&self, query: &Query, out: &mut ItemSet) {
-        out.clear();
         let base = query.evaluate(self.db);
         let tables = query.tables_referenced();
         for (i, delta) in self.support.deltas().iter().enumerate() {
@@ -122,6 +101,7 @@ impl ConflictEngine for NaiveConflictEngine<'_> {
                 out.insert(i);
             }
         }
+        out
     }
 
     fn support_size(&self) -> usize {
@@ -244,24 +224,19 @@ impl<'a> DeltaConflictEngine<'a> {
 impl ConflictEngine for DeltaConflictEngine<'_> {
     fn conflict_set(&self, query: &Query) -> ItemSet {
         let mut out = ItemSet::with_capacity(self.support.len());
-        self.conflict_set_into(query, &mut out);
-        out
-    }
-
-    fn conflict_set_into(&self, query: &Query, out: &mut ItemSet) {
-        out.clear();
         match classify(query) {
-            Shape::Chain { table } => self.chain_conflicts(query, &table, out),
+            Shape::Chain { table } => self.chain_conflicts(query, &table, &mut out),
             Shape::DistinctChain { table, inner } => {
-                self.distinct_conflicts(query, &inner, &table, out)
+                self.distinct_conflicts(query, &inner, &table, &mut out)
             }
             Shape::AggregateChain {
                 table,
                 input,
                 group_by,
-            } => self.aggregate_conflicts(query, &input, &group_by, &table, out),
-            Shape::Other => self.naive.conflict_set_into(query, out),
+            } => self.aggregate_conflicts(query, &input, &group_by, &table, &mut out),
+            Shape::Other => return self.naive.conflict_set(query),
         }
+        out
     }
 
     fn support_size(&self) -> usize {
@@ -271,8 +246,7 @@ impl ConflictEngine for DeltaConflictEngine<'_> {
 
 impl DeltaConflictEngine<'_> {
     /// Fast path for plain filter/project chains: the answer changes iff the
-    /// perturbed tuple's contribution changes. Fills `out` (already cleared
-    /// by [`ConflictEngine::conflict_set_into`]).
+    /// perturbed tuple's contribution changes. Fills the empty set `out`.
     fn chain_conflicts(&self, chain: &Query, table: &str, out: &mut ItemSet) {
         let Ok(schema) = self.db.table(table).map(|r| r.schema().clone()) else {
             return;
@@ -309,7 +283,7 @@ impl DeltaConflictEngine<'_> {
 
     /// Fast path for `DISTINCT` over a chain: the distinct set changes iff
     /// removing the old contribution or adding the new one changes membership.
-    /// Fills `out` (already cleared by [`ConflictEngine::conflict_set_into`]).
+    /// Fills the empty set `out`.
     fn distinct_conflicts(&self, _query: &Query, inner: &Query, table: &str, out: &mut ItemSet) {
         let Ok(schema) = self.db.table(table).map(|r| r.schema().clone()) else {
             return;
@@ -350,8 +324,8 @@ impl DeltaConflictEngine<'_> {
     }
 
     /// Fast path for aggregation over a chain: only the groups touched by the
-    /// perturbed tuple can change; recompute exactly those groups. Fills
-    /// `out` (already cleared by [`ConflictEngine::conflict_set_into`]).
+    /// perturbed tuple can change; recompute exactly those groups. Fills the
+    /// empty set `out`.
     fn aggregate_conflicts(
         &self,
         query: &Query,
@@ -376,7 +350,10 @@ impl DeltaConflictEngine<'_> {
             .collect::<Result<Vec<_>, _>>()
         {
             Ok(v) => v,
-            Err(_) => return self.naive.conflict_set_into(query, out),
+            Err(_) => {
+                *out = self.naive.conflict_set(query);
+                return;
+            }
         };
         let group_key =
             |row: &Tuple| -> Vec<Value> { key_idx.iter().map(|&i| row[i].clone()).collect() };
@@ -553,47 +530,6 @@ impl<'a> ParallelConflictEngine<'a> {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// [`ConflictEngine::conflict_sets`] writing through caller-owned
-    /// scratch: the batch's conflict sets land in `scratch.sets` (cleared
-    /// first, query order preserved).
-    ///
-    /// This is the arena-backed entry point `Broker::quote_batch` reuses
-    /// across ticks. On the serial path every set is drawn from
-    /// `scratch.arena`, so spilled block buffers recycled from earlier
-    /// batches make steady-state quoting allocation-free. On the threaded
-    /// path the `scratch.slots` claim ledger is reused across batches (the
-    /// per-call allocation that used to dominate small batches), while the
-    /// sets themselves are built by the scoped workers — per-worker arenas
-    /// would not outlive the batch, since workers live only for one call.
-    pub fn conflict_sets_scratch(&self, queries: &[Query], scratch: &mut QuoteScratch) {
-        scratch.sets.clear();
-        let workers = self.threads.min(queries.len());
-        // Same serial/threaded split as `conflict_sets` (see below).
-        if workers <= 1 || queries.len() * self.support.len() < PARALLEL_WORK_THRESHOLD {
-            let engine = DeltaConflictEngine::new(self.db, self.support);
-            scratch.sets.reserve(queries.len());
-            for query in queries {
-                let mut set = scratch.arena.take_set();
-                engine.conflict_set_into(query, &mut set);
-                scratch.sets.push(set);
-            }
-            return;
-        }
-        claim_map_into(
-            queries,
-            workers,
-            || DeltaConflictEngine::new(self.db, self.support),
-            |engine, query| engine.conflict_set(query),
-            &mut scratch.slots,
-        );
-        scratch.sets.extend(
-            scratch
-                .slots
-                .drain(..)
-                .map(|s| s.expect("scoped workers drain every item")),
-        );
-    }
 }
 
 /// Minimum batch work (queries × support databases) before spawning worker
@@ -607,23 +543,25 @@ impl ConflictEngine for ParallelConflictEngine<'_> {
         DeltaConflictEngine::new(self.db, self.support).conflict_set(query)
     }
 
-    fn conflict_set_into(&self, query: &Query, out: &mut ItemSet) {
-        DeltaConflictEngine::new(self.db, self.support).conflict_set_into(query, out)
-    }
-
     fn support_size(&self) -> usize {
         self.support.len()
     }
 
-    /// Delegates to [`ParallelConflictEngine::conflict_sets_scratch`] with a
-    /// throwaway scratch. One effective worker takes the serial path no
-    /// matter how large the batch is — a second thread cannot exist to share
-    /// the work, so spawn + ledger overhead would be pure loss. Multi-worker
-    /// batches still fall back to serial below the work threshold.
+    /// One effective worker takes the serial path no matter how large the
+    /// batch is — a second thread cannot exist to share the work, so spawn +
+    /// ledger overhead would be pure loss. Multi-worker batches still fall
+    /// back to serial below the work threshold.
     fn conflict_sets(&self, queries: &[Query]) -> Vec<ItemSet> {
-        let mut scratch = QuoteScratch::new();
-        self.conflict_sets_scratch(queries, &mut scratch);
-        std::mem::take(&mut scratch.sets)
+        let workers = self.threads.min(queries.len());
+        if queries.len() * self.support.len() < PARALLEL_WORK_THRESHOLD {
+            return DeltaConflictEngine::new(self.db, self.support).conflict_sets(queries);
+        }
+        claim_map(
+            queries,
+            workers,
+            || DeltaConflictEngine::new(self.db, self.support),
+            |engine, query| engine.conflict_set(query),
+        )
     }
 }
 

@@ -48,5 +48,5 @@ pub use conflict::{
     ParallelConflictEngine,
 };
 pub use durability::{broker_snapshot, ledger_from_snapshot, ledger_to_snapshot, recover_broker};
-pub use parallel::{claim_map, claim_map_into};
+pub use parallel::claim_map;
 pub use support::{SupportConfig, SupportSet};

@@ -23,46 +23,15 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    let mut slots = Vec::new();
-    claim_map_into(items, workers, init, f, &mut slots);
-    slots
-        .into_iter()
-        .map(|r| r.expect("scoped workers drain every item"))
-        .collect()
-}
-
-/// [`claim_map`] writing into a caller-owned slot buffer instead of
-/// allocating a fresh result `Vec` per call.
-///
-/// `slots` is cleared, then filled with `Some(result)` at every item's
-/// index (input order preserved); its *capacity* is what callers reuse
-/// across batches — quote loops call this every tick with the same buffer
-/// (see `qp_core::QuoteScratch::slots`). Every slot is `Some` on return;
-/// callers drain with `slot.expect(..)`.
-pub fn claim_map_into<T, S, R, I, F>(
-    items: &[T],
-    workers: usize,
-    init: I,
-    f: F,
-    slots: &mut Vec<Option<R>>,
-) where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    slots.clear();
     let workers = workers.min(items.len());
     if workers <= 1 {
         let mut state = init();
-        slots.extend(items.iter().map(|t| Some(f(&mut state, t))));
-        return;
+        return items.iter().map(|t| f(&mut state, t)).collect();
     }
 
-    slots.reserve(items.len());
-    slots.resize_with(items.len(), || None);
-    // The shared ledger: a claim cursor plus the borrowed result slots.
-    let ledger: Mutex<(usize, &mut Vec<Option<R>>)> = Mutex::new((0, slots));
+    let slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    // The shared ledger: a claim cursor plus the result slots.
+    let ledger: Mutex<(usize, Vec<Option<R>>)> = Mutex::new((0, slots));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -83,6 +52,12 @@ pub fn claim_map_into<T, S, R, I, F>(
             });
         }
     });
+    ledger
+        .into_inner()
+        .1
+        .into_iter()
+        .map(|r| r.expect("scoped workers drain every item"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -140,21 +115,5 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let out: Vec<usize> = claim_map(&[], 8, || (), |_, &x: &usize| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn claim_map_into_reuses_the_slot_buffer_across_batches() {
-        let mut slots: Vec<Option<usize>> = Vec::new();
-        let items: Vec<usize> = (0..64).collect();
-        for workers in [1, 4] {
-            claim_map_into(&items, workers, || (), |_, &x| x * 2, &mut slots);
-            let out: Vec<usize> = slots.iter().map(|s| s.unwrap()).collect();
-            let expected: Vec<usize> = items.iter().map(|x| x * 2).collect();
-            assert_eq!(out, expected, "workers={workers}");
-        }
-        let cap = slots.capacity();
-        claim_map_into(&items, 4, || (), |_, &x| x, &mut slots);
-        assert_eq!(slots.capacity(), cap, "steady state reallocates nothing");
-        assert!(slots.iter().all(|s| s.is_some()));
     }
 }

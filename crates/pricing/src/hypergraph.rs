@@ -527,9 +527,9 @@ impl Hypergraph {
 
     /// [`Hypergraph::apply_delta`] draining a caller-owned delta into a
     /// caller-owned log, so a steady-state caller (the simulator's demand
-    /// window, once per tick) reuses both buffers instead of allocating
-    /// them anew. `delta` is left empty and ready to refill; `ops` is
-    /// cleared first and holds the same per-op log `apply_delta` returns.
+    /// window, once per tick) reuses its delta buffer instead of allocating
+    /// it anew. `delta` is left empty and ready to refill; `ops` is cleared
+    /// first and holds the same per-op log `apply_delta` returns.
     pub fn apply_delta_drain(&mut self, delta: &mut HypergraphDelta, ops: &mut Vec<AppliedOp>) {
         ops.clear();
         ops.reserve(delta.ops.len());

@@ -101,16 +101,6 @@ impl DemandWindow {
     /// [`AppliedOp`] log — O(|delta|) graph work (plus one O(window)
     /// arrival-order re-thread when evictions occurred), never a rebuild.
     pub fn flush(&mut self) -> (&Hypergraph, Vec<AppliedOp>) {
-        let mut ops = Vec::new();
-        let demand = self.flush_into(&mut ops);
-        (demand, ops)
-    }
-
-    /// [`DemandWindow::flush`] writing the [`AppliedOp`] log into a
-    /// caller-owned buffer (cleared first), so a per-tick caller reuses the
-    /// log allocation — together with the window's internal delta and
-    /// position buffers, a steady-state flush allocates nothing.
-    pub fn flush_into(&mut self, ops: &mut Vec<AppliedOp>) -> &Hypergraph {
         // Descending removal order keeps every queued id valid under
         // swap-removal (see the module docs).
         self.evicted.sort_unstable_by(|a, b| b.cmp(a));
@@ -124,7 +114,8 @@ impl DemandWindow {
         for (set, bid) in self.fresh.drain(..) {
             self.delta.add_edge(set, bid);
         }
-        self.demand.apply_delta_drain(&mut self.delta, ops);
+        let mut ops = Vec::new();
+        self.demand.apply_delta_drain(&mut self.delta, &mut ops);
 
         // Re-thread the arrival order from the authoritative renumberings
         // (every `from`/`to` id is below the pre-removal edge count). Only
@@ -138,7 +129,7 @@ impl DemandWindow {
                 self.pos[id] = i;
             }
         }
-        for op in ops.iter() {
+        for op in &ops {
             match op {
                 AppliedOp::Removed {
                     moved: Some((from, to)),
@@ -160,7 +151,7 @@ impl DemandWindow {
             }
         }
         debug_assert_eq!(self.demand.num_edges(), self.order.len());
-        &self.demand
+        (&self.demand, ops)
     }
 
     /// A fresh hypergraph with the window's edges in **arrival order** — the

@@ -108,31 +108,6 @@ pub fn settle_batch<T: SettleTransport>(
     )
 }
 
-/// [`settle_batch`] writing into a caller-owned slot buffer instead of
-/// allocating a fresh outcome `Vec` per tick.
-///
-/// `slots` is cleared, then holds `Some(outcome)` at every buyer's arrival
-/// index; the engine drains it each tick so only its *capacity* persists.
-/// Same determinism contract as [`settle_batch`] — outcome order is arrival
-/// order regardless of worker interleaving.
-pub fn settle_batch_into<T: SettleTransport>(
-    transport: &T,
-    population: &Population,
-    phase: usize,
-    buyers: &[Buyer],
-    tick: u64,
-    workers: usize,
-    slots: &mut Vec<Option<SettledQuote>>,
-) {
-    qp_market::claim_map_into(
-        buyers,
-        workers,
-        || transport.worker(),
-        |worker, buyer| worker.quote_and_settle(population, phase, buyer, tick),
-        slots,
-    )
-}
-
 /// The in-process transport: quotes directly against a shared [`Broker`].
 /// This is the original `qp-sim` hot path, now expressed as one
 /// [`SettleTransport`] among others.
@@ -278,20 +253,6 @@ mod tests {
         // The phase index reached the worker (prices carry the 100·phase
         // component).
         assert!(serial.iter().all(|s| s.price >= 100.0));
-
-        // The slot-reusing variant reports identical outcomes through the
-        // same buffer across calls.
-        let mut slots = Vec::new();
-        for workers in [1, 4] {
-            settle_batch_into(&transport, &pop, 1, &buyers, 7, workers, &mut slots);
-            assert_eq!(slots.len(), serial.len());
-            for (a, b) in serial.iter().zip(&slots) {
-                let b = b.as_ref().expect("every slot is filled");
-                assert_eq!(a.sold, b.sold, "workers={workers}");
-                assert_eq!(a.price.to_bits(), b.price.to_bits());
-                assert_eq!(a.conflict_set, b.conflict_set);
-            }
-        }
     }
 
     #[test]

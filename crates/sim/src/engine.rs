@@ -173,12 +173,8 @@ pub fn run_with<T: SettleTransport>(
     let mut window = DemandWindow::new(transport.num_items(), cfg.demand_window);
     let mut ticks = Vec::with_capacity(cfg.ticks as usize);
     let mut repricings = Vec::new();
-    // Per-tick scratch, hoisted so steady-state ticks reuse capacity
-    // instead of reallocating: the sampled buyers, the settle fan-out's
-    // claim slots, and the flush's applied-op log.
+    // The sampled buyers, hoisted so steady-state ticks reuse capacity.
     let mut buyers: Vec<Buyer> = Vec::new();
-    let mut slots: Vec<Option<driver::SettledQuote>> = Vec::new();
-    let mut ops: Vec<qp_pricing::AppliedOp> = Vec::new();
     // Run-level latency histograms (always kept — they feed the report's
     // quantiles) and the optional live telemetry feed. The sink handles
     // are resolved once; with a disabled sink every call below is a
@@ -200,9 +196,7 @@ pub fn run_with<T: SettleTransport>(
         buyers.clear();
         buyers.extend((0..n).map(|_| population.sample(&mut rng)));
 
-        driver::settle_batch_into(
-            transport, population, phase, &buyers, tick, workers, &mut slots,
-        );
+        let outcomes = driver::settle_batch(transport, population, phase, &buyers, tick, workers);
 
         let mut stats = TickStats {
             tick,
@@ -210,8 +204,7 @@ pub fn run_with<T: SettleTransport>(
             ..TickStats::default()
         };
         let mut tick_latency = HistogramSnapshot::new();
-        for o in slots.drain(..) {
-            let o = o.expect("settle workers fill every slot");
+        for o in outcomes {
             if o.sold {
                 stats.sold += 1;
                 stats.revenue += o.price;
@@ -239,7 +232,7 @@ pub fn run_with<T: SettleTransport>(
             let observed_edges = window.len();
             match cfg.repricing_mode {
                 RepricingMode::Incremental => {
-                    let demand = window.flush_into(&mut ops);
+                    let (demand, ops) = window.flush();
                     let (_, patch) = repricer.reprice(demand, &ops);
                     transport.apply_patch(&patch);
                 }

@@ -11,7 +11,7 @@
 //! | model | production counterpart |
 //! |---|---|
 //! | `no-stale-quote` | `Broker::set_pricing` epoch bump vs `ShardSet::quote` cache serve (PR 5) |
-//! | `rw-atomicity` | `set_pricing` vs `quote_batch` reader-writer atomicity |
+//! | `rw-atomicity` | `set_pricing` vs `Broker::quote`'s price read: reader-writer atomicity |
 //! | `claim-exactly-once` | `claim_map` work-claiming ledger (bit-identical parallel revenue) |
 //! | `pending-bounds` | pending-quote table capacity eviction in `ShardSet` |
 
@@ -112,10 +112,10 @@ fn no_stale_quote(
     }
 }
 
-/// Reader-writer atomicity of `set_pricing` vs `quote_batch`: a writer
-/// mutates a two-part pricing state under the write lock; readers snapshot
-/// both parts under the read lock and must never observe a half-applied
-/// update. The parts are atomics so the model has yield points *inside*
+/// Reader-writer atomicity of `set_pricing` vs `Broker::quote`'s price
+/// read: a writer mutates a two-part pricing state under the write lock;
+/// readers snapshot both parts under the read lock and must never observe a
+/// half-applied update. The parts are atomics so the model has yield points *inside*
 /// the critical sections — the lock, not op indivisibility, must provide
 /// the atomicity.
 ///
@@ -299,7 +299,7 @@ pub fn catalog() -> Vec<ModelSpec> {
         },
         ModelSpec {
             name: "rw-atomicity",
-            about: "set_pricing vs quote_batch reader-writer snapshot atomicity",
+            about: "set_pricing vs Broker::quote price read: reader-writer snapshot atomicity",
             expect_failure: false,
             build: || Box::new(rw_atomicity(2, 2, 2, false)),
         },

@@ -66,13 +66,11 @@ fn main() {
         ),
     ];
 
-    // Broker + conflict sets (one engine pass via quote_batch).
+    // Broker + one conflict set per buyer query.
     let broker = Broker::new(db, &SupportConfig::with_size(300));
-    let queries: Vec<Query> = buyers.iter().map(|(_, q, _)| q.clone()).collect();
-    let conflict_sets: Vec<ItemSet> = broker
-        .quote_batch(&queries)
-        .into_iter()
-        .map(|quote| quote.conflict_set)
+    let conflict_sets: Vec<ItemSet> = buyers
+        .iter()
+        .map(|(_, q, _)| broker.conflict_set(q))
         .collect();
     let mut h = Hypergraph::new(broker.support().len());
     for (cs, (_, _, v)) in conflict_sets.iter().zip(&buyers) {

@@ -65,10 +65,10 @@ fn main() {
         .build()
         .expect("LPIP is a registered algorithm");
 
-    // 4. Quote the whole batch at once — more informative queries always
-    //    cost at least as much.
-    let queries: Vec<Query> = buyers.iter().map(|(q, _)| q.clone()).collect();
-    for (quote, (_, v)) in broker.quote_batch(&queries).iter().zip(&buyers) {
+    // 4. Quote each buyer's query — more informative queries always cost at
+    //    least as much.
+    for (q, v) in &buyers {
+        let quote = broker.quote(q);
         println!(
             "bundle of {:>3} support DBs, valuation {:>5.1} -> price {:>6.2}  {}",
             quote.conflict_set.len(),

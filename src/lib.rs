@@ -61,9 +61,9 @@
 //!     .anticipate(Query::scan("User"), 25.0)   // expected buyers
 //!     .build()
 //!     .unwrap();
-//! let quotes = broker.quote_batch(&[Query::scan("User")]);
+//! let quote = broker.quote(&Query::scan("User"));
 //! // Re-price through &self — safe while other threads keep quoting.
-//! broker.set_pricing(Pricing::UniformBundle { price: quotes[0].price });
+//! broker.set_pricing(Pricing::UniformBundle { price: quote.price });
 //! ```
 pub use qp_core::ItemSet;
 pub use qp_lp as lp;

@@ -7,11 +7,13 @@
 //! library.
 
 use query_pricing::market::{
-    build_hypergraph, check_all, Broker, ConflictEngine, DeltaConflictEngine, PurchaseOutcome,
-    SupportConfig, SupportSet,
+    build_hypergraph, check_all, Broker, ConflictEngine, DeltaConflictEngine,
+    ParallelConflictEngine, PurchaseOutcome, SupportConfig, SupportSet,
 };
 use query_pricing::pricing::algorithms::{self, CipConfig, LpipConfig};
-use query_pricing::pricing::{bounds, is_monotone, is_subadditive, revenue, Hypergraph, ItemSet};
+use query_pricing::pricing::{
+    bounds, is_monotone, is_subadditive, revenue, BundlePricing, Hypergraph, ItemSet,
+};
 use query_pricing::qdb::{AggFunc, Expr, Query};
 use query_pricing::workloads::queries::{skewed, uniform};
 use query_pricing::workloads::valuations::{assign_valuations, ValuationModel};
@@ -120,6 +122,13 @@ fn broker_quotes_are_arbitrage_free_across_algorithms() {
     for cs in &conflict_sets {
         h.add_edge_set(cs.clone(), 20.0);
     }
+    // The batch path the builder uses. Nine copies of the four queries at
+    // support 120 are 4320 units of work, above the engine's 4096 serial
+    // cutoff, so this runs the threaded `claim_map` branch with 2 workers.
+    let batch_queries = vec![queries.clone(); 9].concat();
+    let batch = ParallelConflictEngine::with_threads_forced(broker.database(), broker.support(), 2)
+        .conflict_sets(&batch_queries);
+    assert_eq!(batch.len(), batch_queries.len());
 
     for name in ["UBP", "LPIP", "Layering"] {
         let outcome = algorithms::by_name(name).expect("paper algorithm").run(&h);
@@ -135,11 +144,12 @@ fn broker_quotes_are_arbitrage_free_across_algorithms() {
         for q in &queries {
             assert!(broker.quote(q).price <= full_price + 1e-9);
         }
-        // quote_batch must agree with per-query quotes under every pricing.
-        for (batch, q) in broker.quote_batch(&queries).iter().zip(&queries) {
+        // Batch conflict sets must agree with per-query quotes under every
+        // pricing.
+        for (set, q) in batch.iter().zip(&batch_queries) {
             let single = broker.quote(q);
-            assert_eq!(batch.conflict_set, single.conflict_set);
-            assert_eq!(batch.price, single.price);
+            assert_eq!(*set, single.conflict_set);
+            assert_eq!(broker.pricing().price_set(set), single.price);
         }
     }
 }
