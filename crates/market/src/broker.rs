@@ -18,6 +18,38 @@
 //! [`qp_core::ItemSet`] bitset and are priced through
 //! [`BundlePricing::price_set`] without materializing index vectors.
 //!
+//! # Conflict memo
+//!
+//! [`Broker::conflict_set`] (and with it every quote) answers a plan it has
+//! seen before from a memo instead of recomputing the set.
+//!
+//! * **An entry never goes stale.** A conflict set depends only on the
+//!   query, the database `D` and the support `S`, and a broker never
+//!   changes `D` or `S`. Repricing changes prices, not conflict sets, so
+//!   the memo needs no epoch and no invalidation.
+//! * **The key is exact.** Entries are keyed by the plan's whole `Debug`
+//!   text. It is deliberately not `Query: PartialEq` (or `Value: Hash`):
+//!   those call `Int(7)` and `Float(7.0)`, or `0.0` and `-0.0`, equal, but
+//!   plans differing only there can answer differently. The derived
+//!   `Debug` names every plan node, expression node and literal variant,
+//!   prints `-0.0` apart from `0.0`, prints floats so they round-trip and
+//!   quotes strings with escapes. It only folds NaN payloads together,
+//!   which no answer can tell apart (`Value` compares every NaN as one).
+//!   The full key is stored, not a hash of it, so a hash collision cannot
+//!   return another plan's set.
+//! * **Filling.** A miss computes the set with the [`DeltaConflictEngine`]
+//!   while holding no lock, then inserts it; when two threads race on the
+//!   same plan the first insert wins (both computed the same set).
+//!   [`BrokerBuilder::build`] seeds the memo with the sets it computes for
+//!   the anticipated queries.
+//! * **Capacity.** The memo holds at most a fixed number of entries
+//!   (4096). An insert into a full memo clears it and the memo refills
+//!   from later misses; there is no LRU bookkeeping on the hit path.
+//! * **Locking.** The memo sits behind its own `RwLock`: lookups take the
+//!   read lock, inserts the write lock. It is a leaf like the pricing lock
+//!   — never held while a conflict set is computed, and never held together
+//!   with the pricing lock.
+//!
 //! # The pricing epoch and the cache-invalidation contract
 //!
 //! Every observable change to the installed pricing — a wholesale
@@ -59,11 +91,14 @@
 //!   crate is acquired while it is held. Callers layering caches on top
 //!   (e.g. `qp-server`'s shards) must release their cache locks before
 //!   calling into the broker, or take them strictly after the broker call
-//!   returns.
+//!   returns. The conflict memo's lock is a leaf too (see "Conflict memo";
+//!   the model checker does not model it).
 //! * **Synchronization goes through the `parking_lot` facade** (including
 //!   its `atomic` module), never `std::sync` directly, so
 //!   `--cfg qp_verify` builds can interpose the checker's instrumented
 //!   shims on production code (lint rule `std-sync`).
+
+use std::collections::HashMap;
 
 use parking_lot::atomic::{AtomicU64, Ordering};
 
@@ -78,6 +113,16 @@ use qp_telemetry::{Counter, SpanHandle, TelemetrySink};
 
 use crate::conflict::{ConflictEngine, DeltaConflictEngine, ParallelConflictEngine};
 use crate::support::{SupportConfig, SupportSet};
+
+/// Most conflict sets the memo holds; an insert into a full memo clears it
+/// first (see "Conflict memo" in the module docs).
+const MEMO_CAPACITY: usize = 4096;
+
+/// The conflict memo's exact key for `query`: its whole `Debug` text (see
+/// "Conflict memo" in the module docs for why not `Query: PartialEq`).
+fn memo_key(query: &Query) -> String {
+    format!("{query:?}")
+}
 
 /// A priced query quote.
 #[derive(Debug, Clone)]
@@ -362,7 +407,8 @@ impl BrokerBuilder {
             let queries: Vec<Query> = self.anticipated.iter().map(|(q, _)| q.clone()).collect();
             let conflict_sets = engine.conflict_sets(&queries);
             let mut h = Hypergraph::new(broker.support().len());
-            for (set, (_, v)) in conflict_sets.into_iter().zip(&self.anticipated) {
+            for (set, (q, v)) in conflict_sets.into_iter().zip(&self.anticipated) {
+                broker.memo_insert(memo_key(q), set.clone());
                 h.add_edge_set(set, *v);
             }
             broker.set_pricing(algo.run(&h).pricing);
@@ -391,6 +437,10 @@ pub struct Broker {
     /// contract this gives layered caches).
     epoch: AtomicU64,
     ledger: Mutex<RevenueLedger>,
+    /// Conflict sets already computed, keyed by [`memo_key`]. A leaf
+    /// lock, bounded by `MEMO_CAPACITY` (see "Conflict memo" in the module
+    /// docs).
+    memo: RwLock<HashMap<Box<str>, ItemSet>>,
     /// Durability hook: when present, settles and observable repricings
     /// append WAL records before returning. Settle appends happen under
     /// the `ledger` lock so the WAL's record order always equals the
@@ -422,6 +472,10 @@ struct BrokerTelemetry {
     quotes: Counter,
     sales: Counter,
     declines: Counter,
+    /// `broker.memo.hit` / `broker.memo.miss`: `conflict_set` calls answered
+    /// from the memo, and calls that computed the set.
+    memo_hits: Counter,
+    memo_misses: Counter,
 }
 
 impl BrokerTelemetry {
@@ -434,6 +488,8 @@ impl BrokerTelemetry {
             quotes: sink.counter("broker.quote"),
             sales: sink.counter("broker.sale"),
             declines: sink.counter("broker.decline"),
+            memo_hits: sink.counter("broker.memo.hit"),
+            memo_misses: sink.counter("broker.memo.miss"),
             sink,
         }
     }
@@ -460,6 +516,7 @@ impl Broker {
             pricing: RwLock::new(Pricing::zero_items(n)),
             epoch: AtomicU64::new(0),
             ledger: Mutex::new(RevenueLedger::default()),
+            memo: RwLock::new(HashMap::new()),
             store: None,
             telemetry: BrokerTelemetry::default(),
         }
@@ -637,9 +694,31 @@ impl Broker {
         self.pricing.read()
     }
 
-    /// Computes the conflict set of `query` against the support.
+    /// The conflict set of `query` against the support: from the memo when
+    /// an identical plan was seen before, otherwise computed by the
+    /// [`DeltaConflictEngine`] and memoised.
     pub fn conflict_set(&self, query: &Query) -> ItemSet {
-        DeltaConflictEngine::new(&self.db, &self.support).conflict_set(query)
+        let key = memo_key(query);
+        if let Some(set) = self.memo.read().get(key.as_str()) {
+            self.telemetry.memo_hits.inc();
+            return set.clone();
+        }
+        self.telemetry.memo_misses.inc();
+        // Computed with no lock held: the memo lock is a leaf.
+        let set = DeltaConflictEngine::new(&self.db, &self.support).conflict_set(query);
+        self.memo_insert(key, set.clone());
+        set
+    }
+
+    /// Memoises `set` as the conflict set of the plan whose [`memo_key`] is
+    /// `key`. The first insert wins: a racing computation of the same plan
+    /// produced the same set. A full memo is cleared before the insert.
+    fn memo_insert(&self, key: String, set: ItemSet) {
+        let mut memo = self.memo.write();
+        if memo.len() >= MEMO_CAPACITY && !memo.contains_key(key.as_str()) {
+            memo.clear();
+        }
+        memo.entry(key.into_boxed_str()).or_insert(set);
     }
 
     /// Quotes a price for `query` without selling it.
@@ -1148,5 +1227,251 @@ mod tests {
         // The disabled default hands out a disabled sink.
         assert!(!plain.telemetry_sink().is_enabled());
         assert!(instrumented.telemetry_sink().is_enabled());
+    }
+
+    /// Number of conflict sets the memo holds.
+    fn memo_len(broker: &Broker) -> usize {
+        broker.memo.read().len()
+    }
+
+    #[test]
+    fn memo_key_tells_apart_plans_sql_equality_merges() {
+        let divided_by =
+            |v: Value| Query::scan("T").project(vec![(Expr::col("x").div(Expr::Lit(v)), "y")]);
+        for (a, b) in [
+            (Value::Int(7), Value::Float(7.0)),
+            (Value::Float(0.0), Value::Float(-0.0)),
+            (Value::Int((1 << 53) + 1), Value::Float((1u64 << 53) as f64)),
+        ] {
+            let (qa, qb) = (divided_by(a), divided_by(b));
+            assert_eq!(qa, qb, "the pair must be equal under Query: PartialEq");
+            assert_ne!(memo_key(&qa), memo_key(&qb));
+        }
+        // Floats print so they round-trip: neighbours keep apart.
+        let next = f64::from_bits(0.1f64.to_bits() + 1);
+        assert_ne!(
+            memo_key(&divided_by(Value::Float(0.1))),
+            memo_key(&divided_by(Value::Float(next)))
+        );
+
+        let q = || {
+            Query::scan("T")
+                .filter(Expr::col("a").in_list(vec![Value::Null, "s".into(), 1.5.into()]))
+                .aggregate(vec!["b"], vec![(AggFunc::Sum, Some("a"), "s")])
+                .limit(3)
+        };
+        assert_eq!(memo_key(&q()), memo_key(&q()));
+
+        // Strings are quoted and escaped, so no split or embedded quote
+        // makes two lists print alike.
+        let listed = |items: &[&str]| {
+            let items = items.iter().map(|&s| s.into()).collect();
+            Query::scan("T").filter(Expr::col("a").in_list(items))
+        };
+        assert_ne!(
+            memo_key(&listed(&["ab", "c"])),
+            memo_key(&listed(&["a", "bc"]))
+        );
+        assert_ne!(
+            memo_key(&listed(&["a\", \"b"])),
+            memo_key(&listed(&["a", "b"]))
+        );
+
+        let base = Query::scan("T");
+        let keys = [
+            memo_key(&base),
+            memo_key(&base.clone().distinct()),
+            memo_key(&base.clone().limit(0)),
+            memo_key(&base.clone().filter(Expr::lit(true))),
+            memo_key(&base.clone().filter(Expr::lit(true).not())),
+            memo_key(&base.filter(Expr::col("a").is_null())),
+        ];
+        for i in 0..keys.len() {
+            for j in i + 1..keys.len() {
+                assert_ne!(keys[i], keys[j], "plans {i} and {j} share a key");
+            }
+        }
+    }
+
+    #[test]
+    fn memo_keys_are_exact_not_sql_equal() {
+        use crate::conflict::NaiveConflictEngine;
+
+        // `big` holds 2^53 and 2^53 + 1, two i64 values that round to the
+        // same f64: `big = Int(2^53 + 1)` matches one row, while
+        // `big = Float(2^53)` matches both.
+        let mut rel = Relation::new(Schema::new(vec![
+            ("name", ColumnType::Str),
+            ("big", ColumnType::Int),
+            ("age", ColumnType::Int),
+        ]));
+        let big = 1i64 << 53;
+        for (i, (n, b)) in [("a", big), ("b", big + 1), ("c", 5), ("d", 6)]
+            .into_iter()
+            .enumerate()
+        {
+            rel.push(vec![n.into(), Value::Int(b), Value::Int(20 + 3 * i as i64)])
+                .unwrap();
+        }
+        let mut d = Database::new();
+        d.add_table("T", rel);
+        let broker = Broker::new(d, &SupportConfig::with_size(80));
+        broker.set_pricing(Pricing::Item {
+            weights: (1..=broker.support().len()).map(|w| w as f64).collect(),
+        });
+        let naive = NaiveConflictEngine::new(broker.database(), broker.support());
+
+        let divided_by = |v: Value| {
+            Query::scan("T")
+                .filter(Expr::col("age").div(Expr::Lit(v)).gt(Expr::lit(3)))
+                .project_cols(&["name"])
+        };
+        let big_equals = |v: Value| {
+            Query::scan("T")
+                .filter(Expr::col("big").eq(Expr::Lit(v)))
+                .project_cols(&["name"])
+        };
+        let pairs = [
+            (divided_by(Value::Int(7)), divided_by(Value::Float(7.0))),
+            (
+                divided_by(Value::Float(0.0)),
+                divided_by(Value::Float(-0.0)),
+            ),
+            (
+                big_equals(Value::Int(big + 1)),
+                big_equals(Value::Float(big as f64)),
+            ),
+        ];
+        for (i, (a, b)) in pairs.iter().enumerate() {
+            assert_eq!(a, b, "pair {i} must be equal under Query: PartialEq");
+            let before = memo_len(&broker);
+            for q in [a, b, a, b] {
+                let quote = broker.quote(q);
+                let expected = naive.conflict_set(q);
+                assert_eq!(quote.conflict_set, expected, "pair {i}");
+                assert_eq!(quote.price, broker.pricing().price_set(&expected));
+            }
+            assert_eq!(memo_len(&broker), before + 2, "pair {i} shares an entry");
+        }
+        // The last pair answers differently, so a PartialEq-keyed memo
+        // would have served one of them the other's price.
+        let (a, b) = &pairs[2];
+        assert_ne!(naive.conflict_set(a), naive.conflict_set(b));
+    }
+
+    #[test]
+    fn builder_seeds_the_memo_with_the_anticipated_sets() {
+        let sink = TelemetrySink::enabled();
+        let broker = Broker::builder(db())
+            .support_config(SupportConfig::with_size(80))
+            .algorithm("LPIP")
+            .anticipate_all(buyer_queries().into_iter().map(|q| (q, 10.0)))
+            .telemetry(sink.clone())
+            .build()
+            .expect("LPIP is registered");
+        let fresh = DeltaConflictEngine::new(broker.database(), broker.support());
+        assert_eq!(memo_len(&broker), buyer_queries().len());
+        for q in buyer_queries() {
+            assert_eq!(broker.quote(&q).conflict_set, fresh.conflict_set(&q));
+        }
+        let snap = sink.snapshot();
+        assert_eq!(
+            snap.counter("broker.memo.hit"),
+            Some(buyer_queries().len() as u64)
+        );
+        assert_eq!(snap.counter("broker.memo.miss"), Some(0));
+    }
+
+    #[test]
+    fn memo_is_bounded_and_refills_after_a_clear() {
+        let broker = Broker::new(db(), &SupportConfig::with_size(8));
+        let fresh = DeltaConflictEngine::new(broker.database(), broker.support());
+        let query = |i: usize| {
+            Query::scan("User")
+                .filter(Expr::col("age").ge(Expr::lit(i as i64)))
+                .project_cols(&["name"])
+        };
+        let distinct = MEMO_CAPACITY + 50;
+        for i in 0..distinct {
+            let q = query(i);
+            assert_eq!(broker.conflict_set(&q), fresh.conflict_set(&q), "query {i}");
+            assert!(memo_len(&broker) <= MEMO_CAPACITY);
+        }
+        // Full at MEMO_CAPACITY, cleared by the next insert, then refilled.
+        assert_eq!(memo_len(&broker), distinct - MEMO_CAPACITY);
+        for i in (0..distinct).step_by(97) {
+            let q = query(i);
+            assert_eq!(broker.conflict_set(&q), fresh.conflict_set(&q), "query {i}");
+        }
+    }
+
+    #[test]
+    fn concurrent_quotes_on_a_fresh_broker_get_the_serial_sets() {
+        let queries = buyer_queries();
+        let serial: Vec<ItemSet> = {
+            let broker = Broker::new(db(), &SupportConfig::with_size(80));
+            let engine = DeltaConflictEngine::new(broker.database(), broker.support());
+            queries.iter().map(|q| engine.conflict_set(q)).collect()
+        };
+        let shared = Broker::new(db(), &SupportConfig::with_size(80));
+        // Both threads start each query together, so the first round races
+        // two misses on the same plan into the memo.
+        let start = std::sync::Barrier::new(2);
+        let quoted: Vec<Vec<ItemSet>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut sets = Vec::new();
+                        for _ in 0..20 {
+                            for q in &queries {
+                                start.wait();
+                                sets.push(shared.quote(q).conflict_set);
+                            }
+                        }
+                        sets
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for sets in quoted {
+            for (got, expected) in sets.iter().zip(serial.iter().cycle()) {
+                assert_eq!(got, expected);
+            }
+        }
+        assert_eq!(memo_len(&shared), queries.len());
+    }
+
+    #[test]
+    fn memo_counters_split_conflict_set_calls_into_hits_and_misses() {
+        let sink = TelemetrySink::enabled();
+        let broker = Broker::new(db(), &SupportConfig::with_size(30)).with_telemetry(sink.clone());
+        let queries = buyer_queries();
+        let repeated = &queries[0];
+        let mut calls = 0u64;
+        broker.conflict_set(repeated);
+        calls += 1;
+        let snap = sink.snapshot();
+        assert_eq!(snap.counter("broker.memo.miss"), Some(1));
+        assert_eq!(snap.counter("broker.memo.hit"), Some(0));
+        for _ in 0..3 {
+            broker.conflict_set(repeated);
+            calls += 1;
+        }
+        let snap = sink.snapshot();
+        assert_eq!(snap.counter("broker.memo.miss"), Some(1));
+        assert_eq!(snap.counter("broker.memo.hit"), Some(3));
+
+        for q in queries.iter().cycle().take(7) {
+            broker.quote(q);
+            calls += 1;
+        }
+        let snap = sink.snapshot();
+        let (hits, misses) = (
+            snap.counter("broker.memo.hit").unwrap(),
+            snap.counter("broker.memo.miss").unwrap(),
+        );
+        assert_eq!(hits + misses, calls);
+        assert_eq!(misses, queries.len() as u64);
     }
 }

@@ -32,7 +32,9 @@ use std::collections::HashMap;
 
 use qp_core::ItemSet;
 use qp_pricing::Hypergraph;
-use qp_qdb::{Database, DeltaInstance, QdbError, Query, Relation, Schema, Tuple, Value};
+use qp_qdb::{
+    ColumnType, Database, DeltaInstance, Expr, QdbError, Query, Relation, Schema, Tuple, Value,
+};
 
 use crate::parallel::claim_map;
 use crate::support::SupportSet;
@@ -326,6 +328,12 @@ impl DeltaConflictEngine<'_> {
     /// Fast path for aggregation over a chain: only the groups touched by the
     /// perturbed tuple can change; recompute exactly those groups. Fills the
     /// empty set `out`.
+    ///
+    /// Each affected group is recomputed over its rows in the order the
+    /// overlay evaluation sees them: base-table order, with the perturbed
+    /// row's new contribution at [`Delta::row`](qp_qdb::Delta). Float
+    /// `SUM`/`AVG` depend on summation order, so any other order can differ
+    /// from `Q(D')` in the last bits and report a false conflict.
     fn aggregate_conflicts(
         &self,
         query: &Query,
@@ -334,16 +342,36 @@ impl DeltaConflictEngine<'_> {
         table: &str,
         out: &mut ItemSet,
     ) {
-        let Ok(schema) = self.db.table(table).map(|r| r.schema().clone()) else {
+        let Ok(rel) = self.db.table(table) else {
             return;
         };
-        let Ok(agg_input) = input.evaluate(self.db) else {
+        let schema = rel.schema();
+        let Some(tagged_input) = carry_origin(input).filter(|_| schema.index_of(ORIGIN).is_err())
+        else {
+            *out = self.naive.conflict_set(query);
+            return;
+        };
+        // The base table with each row's index appended as ORIGIN.
+        let mut tagged_schema = schema.clone();
+        tagged_schema.push(ORIGIN, ColumnType::Int);
+        let mut tagged_rel = Relation::new(tagged_schema);
+        for (i, row) in rel.rows().iter().enumerate() {
+            let mut row = row.clone();
+            row.push(Value::Int(i as i64));
+            tagged_rel.push(row).expect("tagged row arity mismatch");
+        }
+        let mut tagged = Database::new();
+        tagged.add_table(table, tagged_rel);
+        let Ok(agg_input) = tagged_input.evaluate(&tagged) else {
             return;
         };
         let Ok(base_output) = query.evaluate(self.db) else {
             return;
         };
-        let input_schema = agg_input.schema().clone();
+        // The aggregation input's schema: the tagged chain output minus the
+        // trailing origin column.
+        let arity = agg_input.schema().arity() - 1;
+        let input_schema = Schema::new(agg_input.schema().columns()[..arity].to_vec());
         let key_idx: Vec<usize> = match group_by
             .iter()
             .map(|c| input_schema.index_of(c))
@@ -358,10 +386,18 @@ impl DeltaConflictEngine<'_> {
         let group_key =
             |row: &Tuple| -> Vec<Value> { key_idx.iter().map(|&i| row[i].clone()).collect() };
 
-        // Aggregation-input rows grouped by key.
-        let mut groups: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
+        // Aggregation-input rows grouped by key, each with the index of the
+        // base row that produced it; groups list rows in base-table order.
+        let mut groups: HashMap<Vec<Value>, Vec<(usize, Tuple)>> = HashMap::new();
         for r in agg_input.rows() {
-            groups.entry(group_key(r)).or_default().push(r.clone());
+            let Value::Int(origin) = r[arity] else {
+                unreachable!("the origin column holds row indices")
+            };
+            let row = r[..arity].to_vec();
+            groups
+                .entry(group_key(&row))
+                .or_default()
+                .push((origin as usize, row));
         }
         // Base output rows indexed by key (key columns are the first
         // `group_by.len()` output columns, see the evaluator).
@@ -400,8 +436,8 @@ impl DeltaConflictEngine<'_> {
             let (Ok(old), Ok(new)) = (delta.old_tuple(self.db), delta.new_tuple(self.db)) else {
                 continue;
             };
-            let c_old = self.contribution(input, table, &schema, old.clone());
-            let c_new = self.contribution(input, table, &schema, new);
+            let c_old = self.contribution(input, table, schema, old.clone());
+            let c_new = self.contribution(input, table, schema, new);
             if c_old.same_answer(&c_new) {
                 continue;
             }
@@ -420,43 +456,71 @@ impl DeltaConflictEngine<'_> {
                 }
             }
 
-            let mut changed = false;
-            for key in &keys {
-                // The group's rows with the old contribution swapped for the new.
-                let mut rows: Vec<Tuple> = groups.get(key).cloned().unwrap_or_default();
-                for o in c_old.rows() {
-                    if group_by.is_empty() || &group_key(o) == key {
-                        if let Some(pos) = rows.iter().position(|r| r == o) {
-                            rows.remove(pos);
-                        }
-                    }
-                }
-                for nrow in c_new.rows() {
-                    if group_by.is_empty() || &group_key(nrow) == key {
-                        rows.push(nrow.clone());
-                    }
-                }
+            let changed = keys.iter().any(|key| {
+                // The group's rows as the overlay sees them: base rows before
+                // the perturbed one, its new contribution, then the rest.
+                let members = groups.get(key).map_or(&[][..], Vec::as_slice);
+                let split = members.partition_point(|(origin, _)| *origin < delta.row);
+                let mut rows: Vec<Tuple> = Vec::with_capacity(members.len() + c_new.len());
+                rows.extend(members[..split].iter().map(|(_, r)| r.clone()));
+                rows.extend(
+                    c_new
+                        .rows()
+                        .iter()
+                        .filter(|r| group_key(r) == *key)
+                        .cloned(),
+                );
+                rows.extend(
+                    members[split..]
+                        .iter()
+                        .filter(|(origin, _)| *origin != delta.row)
+                        .map(|(_, r)| r.clone()),
+                );
                 let recomputed = recompute(rows);
-                let base_row = base_by_key.get(key);
-                match (recomputed.rows().first(), base_row) {
-                    (Some(a), Some(b)) => {
-                        if a != b {
-                            changed = true;
-                        }
-                    }
-                    (None, None) => {}
+                match (recomputed.rows().first(), base_by_key.get(key)) {
+                    (Some(a), Some(b)) => a != b,
+                    (None, None) => false,
                     // A group appeared or disappeared.
-                    _ => changed = true,
+                    _ => true,
                 }
-                if changed {
-                    break;
-                }
-            }
+            });
             if changed {
                 out.insert(i);
             }
         }
     }
+}
+
+/// Name of the column the aggregate path appends to the base table and
+/// [`carry_origin`] threads through a chain: the index of the base row each
+/// chain output row came from.
+const ORIGIN: &str = "\u{0}origin";
+
+/// `chain` (a filter/project chain) with every projection also carrying the
+/// [`ORIGIN`] column to its output, or `None` if a projection already names
+/// an output column `ORIGIN` (the carried column would then bind to it).
+/// A chain that *reads* `ORIGIN` without naming it fails on the base
+/// database, so its conflict set is empty either way.
+fn carry_origin(chain: &Query) -> Option<Query> {
+    Some(match chain {
+        Query::Scan { .. } => chain.clone(),
+        Query::Filter { input, predicate } => Query::Filter {
+            input: Box::new(carry_origin(input)?),
+            predicate: predicate.clone(),
+        },
+        Query::Project { input, exprs } => {
+            if exprs.iter().any(|(_, name)| name == ORIGIN) {
+                return None;
+            }
+            let mut exprs = exprs.clone();
+            exprs.push((Expr::col(ORIGIN), ORIGIN.to_string()));
+            Query::Project {
+                input: Box::new(carry_origin(input)?),
+                exprs,
+            }
+        }
+        _ => unreachable!("only filter/project chains carry the origin column"),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -670,6 +734,36 @@ mod tests {
         let naive = NaiveConflictEngine::new(&db, &support);
         for i in naive.conflict_set(&q).iter() {
             assert_eq!(support.deltas()[i].table, "Other");
+        }
+    }
+
+    #[test]
+    fn aggregates_naming_the_origin_column_match_naive() {
+        // The aggregate path tags rows with an ORIGIN column. A base column
+        // or a projection output already named ORIGIN would be carried by
+        // the projections above it instead of the tag.
+        let mut db = world_like_db();
+        let mut named = Relation::new(Schema::new(vec![(ORIGIN, ColumnType::Int)]));
+        for i in 0..60 {
+            named.push(vec![Value::Int(1000 + i * 37)]).unwrap();
+        }
+        db.add_table("Named", named);
+        let support = SupportSet::generate(&db, &SupportConfig::with_size(120));
+        let count_over_2000 = |q: Query| {
+            q.project(vec![(Expr::col(ORIGIN), "p")])
+                .filter(Expr::col("p").gt(Expr::lit(2000)))
+                .aggregate(vec![], vec![(AggFunc::Count, None, "c")])
+        };
+        let naive = NaiveConflictEngine::new(&db, &support);
+        let fast = DeltaConflictEngine::new(&db, &support);
+        for q in [
+            count_over_2000(Query::scan("Named")),
+            count_over_2000(
+                Query::scan("Country").project(vec![(Expr::col("population"), ORIGIN)]),
+            ),
+        ] {
+            assert!(!naive.conflict_set(&q).is_empty());
+            assert_eq!(naive.conflict_set(&q), fast.conflict_set(&q));
         }
     }
 

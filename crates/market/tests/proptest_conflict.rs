@@ -15,14 +15,14 @@ use qp_qdb::{AggFunc, ColumnType, Database, Expr, Query, Relation, Schema, Value
 
 #[derive(Debug, Clone)]
 struct RandomDb {
-    rows: Vec<(u8, i64, u8)>,
+    rows: Vec<(u8, i64, u8, f64)>,
     seed: u64,
     support: usize,
 }
 
 fn db_strategy() -> impl Strategy<Value = RandomDb> {
     (
-        proptest::collection::vec((0u8..4, -30i64..30, 0u8..3), 4..30),
+        proptest::collection::vec((0u8..4, -30i64..30, 0u8..3, -50.0f64..50.0), 4..30),
         0u64..1000,
         5usize..40,
     )
@@ -38,13 +38,15 @@ fn build(rdb: &RandomDb) -> Database {
         ("category", ColumnType::Str),
         ("amount", ColumnType::Int),
         ("region", ColumnType::Str),
+        ("price", ColumnType::Float),
     ]);
     let mut rel = Relation::new(schema);
-    for (c, a, r) in &rdb.rows {
+    for (c, a, r, p) in &rdb.rows {
         rel.push(vec![
             format!("cat{c}").into(),
             Value::Int(*a),
             format!("region{r}").into(),
+            Value::Float(*p),
         ])
         .unwrap();
     }
@@ -89,6 +91,24 @@ fn query_pool() -> Vec<Query> {
                 vec!["region"],
                 vec![(AggFunc::CountDistinct, Some("category"), "d")],
             ),
+        // Float sums and averages depend on summation order, so these pin
+        // the aggregate path to the overlay's row order.
+        Query::scan("Sales").aggregate(
+            vec![],
+            vec![
+                (AggFunc::Sum, Some("price"), "s"),
+                (AggFunc::Avg, Some("price"), "a"),
+            ],
+        ),
+        Query::scan("Sales")
+            .filter(Expr::col("price").gt(Expr::lit(-25.0)))
+            .aggregate(
+                vec!["region"],
+                vec![
+                    (AggFunc::Sum, Some("price"), "s"),
+                    (AggFunc::Avg, Some("price"), "a"),
+                ],
+            ),
         // Join shape exercises the naive fallback inside the delta engine.
         Query::scan("Sales")
             .join(Query::scan("Sales"), vec![("category", "category")])
@@ -101,7 +121,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn delta_engine_agrees_with_naive_engine(rdb in db_strategy(), qi in 0usize..10) {
+    fn delta_engine_agrees_with_naive_engine(rdb in db_strategy(), qi in 0usize..12) {
         let db = build(&rdb);
         let support = SupportSet::generate(
             &db,
@@ -114,7 +134,7 @@ proptest! {
     }
 
     #[test]
-    fn conflict_sets_iterate_ascending_and_in_range(rdb in db_strategy(), qi in 0usize..10) {
+    fn conflict_sets_iterate_ascending_and_in_range(rdb in db_strategy(), qi in 0usize..12) {
         let db = build(&rdb);
         let support = SupportSet::generate(
             &db,
@@ -130,7 +150,7 @@ proptest! {
     }
 
     #[test]
-    fn full_scan_dominates_every_single_table_query(rdb in db_strategy(), qi in 0usize..8) {
+    fn full_scan_dominates_every_single_table_query(rdb in db_strategy(), qi in 0usize..10) {
         // Information monotonicity: the full relation determines every query
         // over it, so its conflict set contains every other conflict set.
         let db = build(&rdb);
