@@ -14,14 +14,7 @@ use qp_workloads::Scale;
 /// An `Aggregate` directly over a filter/project chain on one table: the
 /// shape the delta engine answers on its aggregate path.
 fn on_aggregate_path(q: &Query) -> bool {
-    fn chain(q: &Query) -> bool {
-        match q {
-            Query::Scan { .. } => true,
-            Query::Filter { input, .. } | Query::Project { input, .. } => chain(input),
-            _ => false,
-        }
-    }
-    matches!(q, Query::Aggregate { input, .. } if chain(input))
+    matches!(q, Query::Aggregate { input, .. } if input.chain_table().is_some())
 }
 
 #[test]

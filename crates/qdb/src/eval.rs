@@ -1,80 +1,119 @@
 //! Query-plan evaluation.
 //!
-//! The evaluator is deliberately simple: every operator fully materializes
-//! its output. Joins are hash joins, grouping uses a hash map keyed by the
-//! grouping values, and aggregate results are emitted in sorted group-key
-//! order so that evaluation is fully deterministic for a given instance.
+//! Rows pass between operators as `Cow<'_, Tuple>`, so the evaluator copies
+//! only what it builds: `Scan` borrows rows from the instance, `Filter`,
+//! `Distinct` and `Limit` pass them on without copying, and only `Project`,
+//! `Join` and `Aggregate` build new rows. Predicates compare columns and
+//! literals by reference. Each operator still collects its output before the
+//! next one runs, and only the final [`Relation`] owns its rows.
+//!
+//! Joins are hash joins, grouping uses a hash map keyed by the grouping
+//! values, and aggregate results are emitted in sorted group-key order, so
+//! evaluation is fully deterministic for a given instance.
+//!
+//! [`RowPath`] applies a filter/project chain to one row at a time with the
+//! same bound expressions, and [`aggregate`] aggregates any sequence of
+//! rows; the delta conflict engine uses both on single perturbed tuples.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
+use crate::expr::BoundExpr;
 use crate::plan::{AggFunc, Aggregate};
 use crate::relation::Tuple;
 use crate::{ColumnType, Expr, Instance, QdbError, Query, Relation, Schema, Value};
 
+/// Rows flowing between operators: borrowed from the instance where an
+/// operator passes them on unchanged, owned where it builds them.
+type Rows<'a> = Vec<Cow<'a, Tuple>>;
+
 /// Evaluates a query plan against a database instance.
 pub fn evaluate<I: Instance + ?Sized>(q: &Query, db: &I) -> Result<Relation, QdbError> {
-    match q {
-        Query::Scan { table } => {
-            let schema = db.table_schema(table)?.clone();
-            let rows: Vec<Tuple> = db.scan(table)?.map(|r| r.into_owned()).collect();
-            Relation::from_rows(schema, rows)
-        }
+    let (schema, rows) = eval_rows(q, db)?;
+    Relation::from_rows(
+        schema.into_owned(),
+        rows.into_iter().map(Cow::into_owned).collect(),
+    )
+}
+
+/// The output schema and rows of `q`, borrowing from `db` what the plan
+/// does not change.
+fn eval_rows<'a, I: Instance + ?Sized>(
+    q: &Query,
+    db: &'a I,
+) -> Result<(Cow<'a, Schema>, Rows<'a>), QdbError> {
+    Ok(match q {
+        Query::Scan { table } => (
+            Cow::Borrowed(db.table_schema(table)?),
+            db.scan(table)?.collect(),
+        ),
         Query::Filter { input, predicate } => {
-            let rel = evaluate(input, db)?;
-            let bound = predicate.bind(rel.schema())?;
-            let rows: Vec<Tuple> = rel
-                .rows()
-                .iter()
-                .filter(|r| bound.eval_bool(r))
-                .cloned()
-                .collect();
-            Relation::from_rows(rel.schema().clone(), rows)
+            let (schema, mut rows) = eval_rows(input, db)?;
+            let bound = predicate.bind(&schema)?;
+            rows.retain(|r| bound.eval_bool(r));
+            (schema, rows)
         }
         Query::Project { input, exprs } => {
-            let rel = evaluate(input, db)?;
-            let mut bound = Vec::with_capacity(exprs.len());
-            let mut schema = Schema::empty();
-            for (e, name) in exprs {
-                bound.push(e.bind(rel.schema())?);
-                schema.push(name.clone(), projected_type(e, rel.schema()));
-            }
-            let rows: Vec<Tuple> = rel
-                .rows()
+            let (schema, rows) = eval_rows(input, db)?;
+            let (bound, out) = bind_projection(exprs, &schema)?;
+            let rows = rows
                 .iter()
-                .map(|r| bound.iter().map(|b| b.eval(r)).collect())
+                .map(|r| Cow::Owned(project(&bound, r)))
                 .collect();
-            Relation::from_rows(schema, rows)
+            (Cow::Owned(out), rows)
         }
         Query::Join { left, right, on } => {
-            let l = evaluate(left, db)?;
-            let r = evaluate(right, db)?;
-            hash_join(&l, &r, on)
+            let (ls, lrows) = eval_rows(left, db)?;
+            let (rs, rrows) = eval_rows(right, db)?;
+            let (schema, rows) = hash_join(&ls, &lrows, &rs, &rrows, on)?;
+            (Cow::Owned(schema), rows)
         }
         Query::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let rel = evaluate(input, db)?;
-            aggregate(&rel, group_by, aggs)
+            let (schema, rows) = eval_rows(input, db)?;
+            let (schema, rows) =
+                aggregate(&schema, rows.iter().map(|r| &**r), group_by, aggs)?.into_parts();
+            (
+                Cow::Owned(schema),
+                rows.into_iter().map(Cow::Owned).collect(),
+            )
         }
         Query::Distinct { input } => {
-            let rel = evaluate(input, db)?;
-            let mut seen: HashSet<Tuple> = HashSet::with_capacity(rel.len());
-            let mut rows = Vec::new();
-            for row in rel.rows() {
-                if seen.insert(row.clone()) {
-                    rows.push(row.clone());
-                }
-            }
-            Relation::from_rows(rel.schema().clone(), rows)
+            let (schema, mut rows) = eval_rows(input, db)?;
+            let mut seen: HashSet<&Tuple> = HashSet::with_capacity(rows.len());
+            let first: Vec<bool> = rows.iter().map(|r| seen.insert(&**r)).collect();
+            let mut first = first.into_iter();
+            rows.retain(|_| first.next() == Some(true));
+            (schema, rows)
         }
         Query::Limit { input, n } => {
-            let rel = evaluate(input, db)?;
-            let rows: Vec<Tuple> = rel.rows().iter().take(*n).cloned().collect();
-            Relation::from_rows(rel.schema().clone(), rows)
+            let (schema, mut rows) = eval_rows(input, db)?;
+            rows.truncate(*n);
+            (schema, rows)
         }
+    })
+}
+
+/// Binds projection expressions to `schema`, with the output schema.
+fn bind_projection(
+    exprs: &[(Expr, String)],
+    schema: &Schema,
+) -> Result<(Vec<BoundExpr>, Schema), QdbError> {
+    let mut bound = Vec::with_capacity(exprs.len());
+    let mut out = Schema::empty();
+    for (e, name) in exprs {
+        bound.push(e.bind(schema)?);
+        out.push(name.clone(), projected_type(e, schema));
     }
+    Ok((bound, out))
+}
+
+/// One projected row.
+fn project(bound: &[BoundExpr], row: &[Value]) -> Tuple {
+    bound.iter().map(|b| b.eval(row).into_owned()).collect()
 }
 
 /// Output type of a projected expression.
@@ -102,48 +141,135 @@ fn projected_type(e: &Expr, schema: &Schema) -> ColumnType {
     }
 }
 
-/// Hash equi-join of two materialized relations.
-fn hash_join(l: &Relation, r: &Relation, on: &[(String, String)]) -> Result<Relation, QdbError> {
+/// A `[Filter | Project]*` chain over one `Scan`, bound once to the scanned
+/// table's schema and applied to one row at a time.
+///
+/// Applying the path to every row of the table, in order, yields exactly
+/// the rows that evaluating the chain does. A row that passes every filter
+/// untouched stays borrowed.
+#[derive(Debug)]
+pub struct RowPath {
+    /// Steps from the scan upwards.
+    steps: Vec<Step>,
+    schema: Schema,
+}
+
+#[derive(Debug)]
+enum Step {
+    Filter(BoundExpr),
+    Project(Vec<BoundExpr>),
+}
+
+impl RowPath {
+    /// Binds `chain` to `base`, the schema of the table it scans. Fails
+    /// where evaluating the chain would: on a column that is not in scope,
+    /// or on a plan that is not a filter/project chain over one scan (see
+    /// [`Query::chain_table`]).
+    pub fn new(chain: &Query, base: &Schema) -> Result<RowPath, QdbError> {
+        match chain {
+            Query::Scan { .. } => Ok(RowPath {
+                steps: Vec::new(),
+                schema: base.clone(),
+            }),
+            Query::Filter { input, predicate } => {
+                let mut path = RowPath::new(input, base)?;
+                path.steps.push(Step::Filter(predicate.bind(&path.schema)?));
+                Ok(path)
+            }
+            Query::Project { input, exprs } => {
+                let mut path = RowPath::new(input, base)?;
+                let (bound, schema) = bind_projection(exprs, &path.schema)?;
+                path.steps.push(Step::Project(bound));
+                path.schema = schema;
+                Ok(path)
+            }
+            _ => Err(QdbError::TypeError(
+                "a row path binds only filter/project chains over one scan".into(),
+            )),
+        }
+    }
+
+    /// The schema of the chain's output.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The chain's output for the single input `row`: `None` if a filter
+    /// drops it.
+    pub fn apply<'r>(&self, row: &'r Tuple) -> Option<Cow<'r, Tuple>> {
+        let mut row = Cow::Borrowed(row);
+        for step in &self.steps {
+            match step {
+                Step::Filter(p) => {
+                    if !p.eval_bool(&row) {
+                        return None;
+                    }
+                }
+                Step::Project(exprs) => row = Cow::Owned(project(exprs, &row)),
+            }
+        }
+        Some(row)
+    }
+}
+
+/// Hash equi-join. Builds the index on the right input and probes it with
+/// each left row in order, so output rows follow the left input's order,
+/// and for each left row the right input's order.
+fn hash_join<'a>(
+    ls: &Schema,
+    lrows: &[Cow<'_, Tuple>],
+    rs: &Schema,
+    rrows: &[Cow<'_, Tuple>],
+    on: &[(String, String)],
+) -> Result<(Schema, Rows<'a>), QdbError> {
     let mut l_keys = Vec::with_capacity(on.len());
     let mut r_keys = Vec::with_capacity(on.len());
     for (lc, rc) in on {
-        l_keys.push(l.schema().index_of(lc)?);
-        r_keys.push(r.schema().index_of(rc)?);
+        l_keys.push(ls.index_of(lc)?);
+        r_keys.push(rs.index_of(rc)?);
     }
 
-    // Build on the smaller side for memory friendliness; probe with the other.
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(r.len());
-    for (i, row) in r.rows().iter().enumerate() {
-        let key: Vec<Value> = r_keys.iter().map(|&k| row[k].clone()).collect();
+    let mut index: HashMap<Vec<&Value>, Vec<usize>> = HashMap::with_capacity(rrows.len());
+    let mut key: Vec<&Value> = Vec::with_capacity(on.len());
+    for (i, row) in rrows.iter().enumerate() {
+        key.clear();
+        key.extend(r_keys.iter().map(|&k| &row[k]));
         if key.iter().any(|v| v.is_null()) {
             continue; // NULL keys never join.
         }
-        index.entry(key).or_default().push(i);
-    }
-
-    let schema = l.schema().join(r.schema(), "r");
-    let mut rows = Vec::new();
-    for lrow in l.rows() {
-        let key: Vec<Value> = l_keys.iter().map(|&k| lrow[k].clone()).collect();
-        if key.iter().any(|v| v.is_null()) {
-            continue;
-        }
-        if let Some(matches) = index.get(&key) {
-            for &ri in matches {
-                let mut out = lrow.clone();
-                out.extend_from_slice(&r.rows()[ri]);
-                rows.push(out);
+        match index.get_mut(key.as_slice()) {
+            Some(matches) => matches.push(i),
+            None => {
+                index.insert(key.clone(), vec![i]);
             }
         }
     }
-    Relation::from_rows(schema, rows)
+
+    let schema = ls.join(rs, "r");
+    let mut rows = Vec::new();
+    for lrow in lrows {
+        key.clear();
+        key.extend(l_keys.iter().map(|&k| &lrow[k]));
+        if key.iter().any(|v| v.is_null()) {
+            continue;
+        }
+        if let Some(matches) = index.get(key.as_slice()) {
+            for &ri in matches {
+                let mut out = Vec::with_capacity(schema.arity());
+                out.extend_from_slice(lrow);
+                out.extend_from_slice(&rrows[ri]);
+                rows.push(Cow::Owned(out));
+            }
+        }
+    }
+    Ok((schema, rows))
 }
 
-/// Running state of a single aggregate.
+/// Running state of a single aggregate over rows that live for `'r`.
 #[derive(Debug, Clone)]
-enum AggState {
+enum AggState<'r> {
     Count(i64),
-    CountDistinct(HashSet<Value>),
+    CountDistinct(HashSet<&'r Value>),
     Sum {
         total: f64,
         all_int: bool,
@@ -153,12 +279,12 @@ enum AggState {
         total: f64,
         count: i64,
     },
-    Min(Option<Value>),
-    Max(Option<Value>),
+    Min(Option<&'r Value>),
+    Max(Option<&'r Value>),
 }
 
-impl AggState {
-    fn new(func: AggFunc) -> AggState {
+impl<'r> AggState<'r> {
+    fn new(func: AggFunc) -> AggState<'r> {
         match func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::CountDistinct => AggState::CountDistinct(HashSet::new()),
@@ -176,7 +302,7 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, value: Option<&Value>) {
+    fn update(&mut self, value: Option<&'r Value>) {
         match self {
             AggState::Count(c) => {
                 // COUNT(*) gets `None` as the column and counts every row;
@@ -190,7 +316,7 @@ impl AggState {
             AggState::CountDistinct(set) => {
                 if let Some(v) = value {
                     if !v.is_null() {
-                        set.insert(v.clone());
+                        set.insert(v);
                     }
                 }
             }
@@ -219,15 +345,15 @@ impl AggState {
             }
             AggState::Min(best) => {
                 if let Some(v) = value {
-                    if !v.is_null() && best.as_ref().map(|b| v < b).unwrap_or(true) {
-                        *best = Some(v.clone());
+                    if !v.is_null() && best.map(|b| v < b).unwrap_or(true) {
+                        *best = Some(v);
                     }
                 }
             }
             AggState::Max(best) => {
                 if let Some(v) = value {
-                    if !v.is_null() && best.as_ref().map(|b| v > b).unwrap_or(true) {
-                        *best = Some(v.clone());
+                    if !v.is_null() && best.map(|b| v > b).unwrap_or(true) {
+                        *best = Some(v);
                     }
                 }
             }
@@ -260,8 +386,7 @@ impl AggState {
                     Value::Float(total / count as f64)
                 }
             }
-            AggState::Min(best) => best.unwrap_or(Value::Null),
-            AggState::Max(best) => best.unwrap_or(Value::Null),
+            AggState::Min(best) | AggState::Max(best) => best.cloned().unwrap_or(Value::Null),
         }
     }
 }
@@ -276,13 +401,16 @@ fn agg_output_type(func: AggFunc, input_type: Option<ColumnType>) -> ColumnType 
     }
 }
 
-/// Grouping + aggregation over a materialized relation.
-pub(crate) fn aggregate(
-    rel: &Relation,
+/// Grouping + aggregation of `rows`, whose columns `schema` names: the
+/// `Aggregate` operator. Each group folds its rows in the order given, which
+/// fixes the last bits of a float `SUM` or `AVG`; groups come out sorted by
+/// key.
+pub fn aggregate<'r>(
+    schema: &Schema,
+    rows: impl IntoIterator<Item = &'r Tuple>,
     group_by: &[String],
     aggs: &[Aggregate],
 ) -> Result<Relation, QdbError> {
-    let schema = rel.schema();
     let key_idx: Vec<usize> = group_by
         .iter()
         .map(|c| schema.index_of(c))
@@ -307,36 +435,47 @@ pub(crate) fn aggregate(
         );
     }
 
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for row in rel.rows() {
-        let key: Vec<Value> = key_idx.iter().map(|&i| row[i].clone()).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
-        for (state, idx) in states.iter_mut().zip(&agg_idx) {
+    // Groups in order of first appearance, and each key's group index.
+    let mut groups: Vec<(Vec<&Value>, Vec<AggState>)> = Vec::new();
+    let mut index: HashMap<Vec<&Value>, usize> = HashMap::new();
+    let mut key: Vec<&Value> = Vec::with_capacity(key_idx.len());
+    for row in rows {
+        key.clear();
+        key.extend(key_idx.iter().map(|&i| &row[i]));
+        let g = match index.get(key.as_slice()) {
+            Some(&g) => g,
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push((
+                    key.clone(),
+                    aggs.iter().map(|a| AggState::new(a.func)).collect(),
+                ));
+                groups.len() - 1
+            }
+        };
+        for (state, idx) in groups[g].1.iter_mut().zip(&agg_idx) {
             state.update(idx.map(|i| &row[i]));
         }
     }
 
     // A global aggregate over an empty input still produces one row.
     if groups.is_empty() && group_by.is_empty() {
-        groups.insert(
+        groups.push((
             Vec::new(),
             aggs.iter().map(|a| AggState::new(a.func)).collect(),
-        );
+        ));
     }
 
-    let mut keyed: Vec<(Vec<Value>, Vec<AggState>)> = groups.into_iter().collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut rows = Vec::with_capacity(keyed.len());
-    for (key, states) in keyed {
-        let mut row = key;
-        for s in states {
-            row.push(s.finish());
-        }
-        rows.push(row);
-    }
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    let rows = groups
+        .into_iter()
+        .map(|(key, states)| {
+            key.into_iter()
+                .cloned()
+                .chain(states.into_iter().map(AggState::finish))
+                .collect()
+        })
+        .collect();
     Relation::from_rows(out_schema, rows)
 }
 
@@ -574,6 +713,66 @@ mod tests {
         db.add_table("R", r);
         let q = Query::scan("L").join(Query::scan("R"), vec![("k", "k")]);
         assert_eq!(q.evaluate(&db).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn row_path_applies_a_chain_one_row_at_a_time() {
+        let db = paper_db();
+        let rel = db.table("User").unwrap();
+        let chain = Query::scan("User")
+            .filter(Expr::col("age").gt(Expr::lit(18)))
+            .project(vec![
+                (Expr::col("name"), "n"),
+                (Expr::col("age").add(Expr::lit(1)), "next"),
+            ])
+            .filter(Expr::col("next").lt(Expr::lit(25)));
+        let path = RowPath::new(&chain, rel.schema()).unwrap();
+        let rows: Vec<Tuple> = rel
+            .rows()
+            .iter()
+            .filter_map(|r| path.apply(r))
+            .map(Cow::into_owned)
+            .collect();
+        let out = chain.evaluate(&db).unwrap();
+        assert_eq!(rows, out.rows());
+        assert_eq!(path.schema(), out.schema());
+
+        // A row that only passes filters stays borrowed.
+        let filter = Query::scan("User").filter(Expr::col("gender").eq(Expr::lit("f")));
+        let path = RowPath::new(&filter, rel.schema()).unwrap();
+        assert!(matches!(path.apply(&rel.rows()[1]), Some(Cow::Borrowed(_))));
+        assert!(path.apply(&rel.rows()[0]).is_none());
+
+        // Binding fails where evaluation does, and on anything but a chain.
+        let unknown = Query::scan("User").filter(Expr::col("nope").eq(Expr::lit(1)));
+        assert!(RowPath::new(&unknown, rel.schema()).is_err());
+        assert!(RowPath::new(&Query::scan("User").distinct(), rel.schema()).is_err());
+    }
+
+    #[test]
+    fn aggregate_folds_each_group_in_the_order_given() {
+        let schema = Schema::new(vec![("g", ColumnType::Str), ("x", ColumnType::Float)]);
+        let rows: Vec<Tuple> = [1e16, 1.0, -1e16, 1.0]
+            .into_iter()
+            .map(|x| vec!["a".into(), Value::Float(x)])
+            .collect();
+        let sum = |order: &[usize]| {
+            let out = aggregate(
+                &schema,
+                order.iter().map(|&i| &rows[i]),
+                &["g".to_string()],
+                &[Aggregate {
+                    func: AggFunc::Sum,
+                    column: Some("x".into()),
+                    alias: "s".into(),
+                }],
+            )
+            .unwrap();
+            out.rows()[0][1].clone()
+        };
+        // Float addition is not associative: the order of the rows decides.
+        assert_eq!(sum(&[0, 1, 2, 3]), Value::Float(1.0));
+        assert_eq!(sum(&[0, 2, 1, 3]), Value::Float(2.0));
     }
 
     #[test]

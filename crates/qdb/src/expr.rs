@@ -4,6 +4,8 @@
 //! *indices* once per operator ([`Expr::bind`]), so per-row evaluation never
 //! performs string lookups.
 
+use std::borrow::Cow;
+
 use crate::{QdbError, Schema, Value};
 
 /// Binary operators supported in predicates and projections.
@@ -214,8 +216,8 @@ impl Expr {
     }
 
     /// Resolves column names against `schema`, producing an executable
-    /// `BoundExpr` (a crate-internal representation).
-    pub fn bind(&self, schema: &Schema) -> Result<BoundExpr, QdbError> {
+    /// [`BoundExpr`].
+    pub(crate) fn bind(&self, schema: &Schema) -> Result<BoundExpr, QdbError> {
         Ok(match self {
             Expr::Col(name) => BoundExpr::Col(schema.index_of(name)?),
             Expr::Lit(v) => BoundExpr::Lit(v.clone()),
@@ -245,7 +247,7 @@ impl Expr {
 
 /// An expression with column references resolved to indices.
 #[derive(Debug, Clone)]
-pub enum BoundExpr {
+pub(crate) enum BoundExpr {
     /// Column by index.
     Col(usize),
     /// Literal.
@@ -289,120 +291,132 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Evaluates the expression on a row.
-    pub fn eval(&self, row: &[Value]) -> Value {
+    /// Evaluates the expression on a row. Columns and literals are borrowed,
+    /// so only arithmetic and predicates build a value.
+    pub(crate) fn eval<'r>(&'r self, row: &'r [Value]) -> Cow<'r, Value> {
         match self {
-            BoundExpr::Col(i) => row[*i].clone(),
-            BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Binary { op, left, right } => {
-                let l = left.eval(row);
-                let r = right.eval(row);
-                eval_binary(*op, &l, &r)
-            }
-            BoundExpr::Not(e) => Value::Bool(!e.eval(row).is_truthy()),
-            BoundExpr::Like { expr, pattern } => {
-                let v = expr.eval(row);
-                match v.as_str() {
-                    Some(s) => Value::Bool(like_match(s, pattern)),
-                    None => Value::Bool(false),
-                }
-            }
-            BoundExpr::Between { expr, low, high } => {
-                let v = expr.eval(row);
-                let lo = low.eval(row);
-                let hi = high.eval(row);
-                if v.is_null() || lo.is_null() || hi.is_null() {
-                    return Value::Bool(false);
-                }
-                Value::Bool(v >= lo && v <= hi)
-            }
-            BoundExpr::InList { expr, list } => {
-                let v = expr.eval(row);
-                Value::Bool(list.contains(&v))
-            }
-            BoundExpr::IsNull(e) => Value::Bool(e.eval(row).is_null()),
+            BoundExpr::Col(i) => Cow::Borrowed(&row[*i]),
+            BoundExpr::Lit(v) => Cow::Borrowed(v),
+            BoundExpr::Binary {
+                op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div),
+                left,
+                right,
+            } => Cow::Owned(arithmetic(*op, &left.eval(row), &right.eval(row))),
+            _ => Cow::Owned(Value::Bool(self.eval_bool(row))),
         }
     }
 
-    /// Evaluates the expression as a boolean predicate.
-    pub fn eval_bool(&self, row: &[Value]) -> bool {
-        self.eval(row).is_truthy()
+    /// Evaluates the expression as a boolean predicate (SQL three-valued
+    /// logic collapses to `false` for NULL).
+    pub(crate) fn eval_bool(&self, row: &[Value]) -> bool {
+        match self {
+            BoundExpr::Col(_) | BoundExpr::Lit(_) => self.eval(row).is_truthy(),
+            BoundExpr::Binary { op, left, right } => match op {
+                BinOp::And => left.eval_bool(row) && right.eval_bool(row),
+                BinOp::Or => left.eval_bool(row) || right.eval_bool(row),
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => self.eval(row).is_truthy(),
+                _ => compare(*op, &left.eval(row), &right.eval(row)),
+            },
+            BoundExpr::Not(e) => !e.eval_bool(row),
+            BoundExpr::Like { expr, pattern } => expr
+                .eval(row)
+                .as_str()
+                .is_some_and(|s| like_match(s, pattern)),
+            BoundExpr::Between { expr, low, high } => {
+                let (v, lo, hi) = (expr.eval(row), low.eval(row), high.eval(row));
+                !v.is_null() && !lo.is_null() && !hi.is_null() && v >= lo && v <= hi
+            }
+            BoundExpr::InList { expr, list } => list.contains(&expr.eval(row)),
+            BoundExpr::IsNull(e) => e.eval(row).is_null(),
+        }
     }
 }
 
-fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Value {
-    use BinOp::*;
-    match op {
-        And => return Value::Bool(l.is_truthy() && r.is_truthy()),
-        Or => return Value::Bool(l.is_truthy() || r.is_truthy()),
-        _ => {}
-    }
-    // NULL propagates through comparisons (as false) and arithmetic (as NULL).
+/// A comparison; NULL on either side compares false.
+fn compare(op: BinOp, l: &Value, r: &Value) -> bool {
     if l.is_null() || r.is_null() {
-        return match op {
-            Add | Sub | Mul | Div => Value::Null,
-            _ => Value::Bool(false),
-        };
+        return false;
     }
     match op {
-        Eq => Value::Bool(l == r),
-        Ne => Value::Bool(l != r),
-        Lt => Value::Bool(l < r),
-        Le => Value::Bool(l <= r),
-        Gt => Value::Bool(l > r),
-        Ge => Value::Bool(l >= r),
-        Add | Sub | Mul | Div => match (l.as_f64(), r.as_f64()) {
-            (Some(a), Some(b)) => {
-                let x = match op {
-                    Add => a + b,
-                    Sub => a - b,
-                    Mul => a * b,
-                    Div => {
-                        // float-eq: exact division-by-zero guard (SQL
-                        // semantics: x / 0 is NULL, including -0.0).
-                        if b == 0.0 {
-                            return Value::Null;
-                        }
-                        a / b
-                    }
-                    _ => unreachable!(),
-                };
-                // Preserve integer typing for exact integer arithmetic.
-                if matches!((l, r), (Value::Int(_), Value::Int(_)))
-                    && !matches!(op, Div)
-                    // float-eq: fract() of an integral f64 is exactly 0.0.
-                    && x.fract() == 0.0
-                    && x.abs() < i64::MAX as f64
-                {
-                    Value::Int(x as i64)
-                } else {
-                    Value::Float(x)
-                }
+        BinOp::Eq => l == r,
+        BinOp::Ne => l != r,
+        BinOp::Lt => l < r,
+        BinOp::Le => l <= r,
+        BinOp::Gt => l > r,
+        BinOp::Ge => l >= r,
+        _ => unreachable!("not a comparison: {op:?}"),
+    }
+}
+
+/// Arithmetic; NULL or a non-numeric operand yields NULL.
+fn arithmetic(op: BinOp, l: &Value, r: &Value) -> Value {
+    let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
+        return Value::Null;
+    };
+    let x = match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => {
+            // float-eq: exact division-by-zero guard (SQL semantics: x / 0
+            // is NULL, including -0.0).
+            if b == 0.0 {
+                return Value::Null;
             }
-            _ => Value::Null,
-        },
-        And | Or => unreachable!(),
+            a / b
+        }
+        _ => unreachable!("not arithmetic: {op:?}"),
+    };
+    // Preserve integer typing for exact integer arithmetic.
+    if matches!((l, r), (Value::Int(_), Value::Int(_)))
+        && !matches!(op, BinOp::Div)
+        // float-eq: fract() of an integral f64 is exactly 0.0.
+        && x.fract() == 0.0
+        && x.abs() < i64::MAX as f64
+    {
+        Value::Int(x as i64)
+    } else {
+        Value::Float(x)
     }
 }
 
 /// SQL `LIKE` matcher supporting `%` (any run) and `_` (single char).
+///
+/// Greedy with backtracking to the last `%` only: a later `%` can absorb
+/// anything an earlier one could, so earlier ones never need revisiting.
+/// Time O(|s|·|pattern|), no allocation.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    like_rec(&s, &p)
-}
-
-fn like_rec(s: &[char], p: &[char]) -> bool {
-    if p.is_empty() {
-        return s.is_empty();
-    }
-    match p[0] {
-        '%' => {
-            // Try to consume 0..=len(s) characters.
-            (0..=s.len()).any(|k| like_rec(&s[k..], &p[1..]))
+    let (mut si, mut pi) = (0, 0);
+    // After the last `%` seen: the pattern position past it, and the string
+    // position it is currently assumed to stretch to.
+    let mut star: Option<(usize, usize)> = None;
+    loop {
+        let sc = s[si..].chars().next();
+        match (pattern[pi..].chars().next(), sc) {
+            (Some('%'), _) => {
+                pi += 1;
+                star = Some((pi, si));
+                continue;
+            }
+            (Some(p), Some(c)) if p == '_' || p == c => {
+                pi += p.len_utf8();
+                si += c.len_utf8();
+                continue;
+            }
+            (None, None) => return true,
+            _ => {}
         }
-        '_' => !s.is_empty() && like_rec(&s[1..], &p[1..]),
-        c => !s.is_empty() && s[0] == c && like_rec(&s[1..], &p[1..]),
+        // Mismatch: let the last `%` absorb one more character.
+        match star {
+            Some((sp, ss)) => match s[ss..].chars().next() {
+                Some(c) => {
+                    star = Some((sp, ss + c.len_utf8()));
+                    (pi, si) = (sp, ss + c.len_utf8());
+                }
+                None => return false,
+            },
+            None => return false,
+        }
     }
 }
 
@@ -459,14 +473,14 @@ mod tests {
     fn arithmetic_preserves_int_typing() {
         let s = schema();
         let e = Expr::col("age").add(Expr::lit(5)).bind(&s).unwrap();
-        assert_eq!(e.eval(&row()), Value::Int(35));
+        assert_eq!(*e.eval(&row()), Value::Int(35));
         let e = Expr::col("age").mul(Expr::lit(2)).bind(&s).unwrap();
-        assert_eq!(e.eval(&row()), Value::Int(60));
+        assert_eq!(*e.eval(&row()), Value::Int(60));
         let e = Expr::col("score").add(Expr::lit(0.5)).bind(&s).unwrap();
-        assert_eq!(e.eval(&row()), Value::Float(8.0));
+        assert_eq!(*e.eval(&row()), Value::Float(8.0));
         // Division always yields float; division by zero yields NULL.
         let e = Expr::col("age").div(Expr::lit(4)).bind(&s).unwrap();
-        assert_eq!(e.eval(&row()), Value::Float(7.5));
+        assert_eq!(*e.eval(&row()), Value::Float(7.5));
         let e = Expr::col("age").div(Expr::lit(0)).bind(&s).unwrap();
         assert!(e.eval(&row()).is_null());
     }
@@ -487,6 +501,76 @@ mod tests {
         // LIKE on a non-string evaluates to false rather than erroring.
         let e = Expr::col("age").like("3%").bind(&s).unwrap();
         assert!(!e.eval_bool(&row()));
+    }
+
+    /// The recursive matcher `like_match` replaced: tries every split at
+    /// each `%`, exponential in the number of wildcards. Kept as an oracle.
+    fn like_oracle(s: &[char], p: &[char]) -> bool {
+        match p.split_first() {
+            None => s.is_empty(),
+            Some(('%', rest)) => (0..=s.len()).any(|k| like_oracle(&s[k..], rest)),
+            Some(('_', rest)) => !s.is_empty() && like_oracle(&s[1..], rest),
+            Some((c, rest)) => s.first() == Some(c) && like_oracle(&s[1..], rest),
+        }
+    }
+
+    #[test]
+    fn like_matches_the_recursive_oracle() {
+        // Every string over {a, b, é} up to length 5 against every pattern
+        // over {a, é, %, _} up to length 4, from a fixed LCG for the rest.
+        let alphabet = ['a', 'b', 'é'];
+        let wild = ['a', 'é', '%', '_'];
+        let words = |alpha: &[char], max: usize| -> Vec<String> {
+            let mut out = vec![String::new()];
+            let mut frontier = vec![String::new()];
+            for _ in 0..max {
+                frontier = frontier
+                    .iter()
+                    .flat_map(|w| alpha.iter().map(move |c| format!("{w}{c}")))
+                    .collect();
+                out.extend(frontier.iter().cloned());
+            }
+            out
+        };
+        let (strings, patterns) = (words(&alphabet, 5), words(&wild, 4));
+        let mut checked = 0;
+        for p in &patterns {
+            let pc: Vec<char> = p.chars().collect();
+            for s in &strings {
+                let sc: Vec<char> = s.chars().collect();
+                assert_eq!(like_match(s, p), like_oracle(&sc, &pc), "{s:?} LIKE {p:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 100_000);
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = |n: usize| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (x >> 33) as usize % n
+        };
+        for _ in 0..5_000 {
+            let s: String = (0..next(12)).map(|_| alphabet[next(3)]).collect();
+            let p: String = (0..next(9)).map(|_| wild[next(4)]).collect();
+            let (sc, pc): (Vec<char>, Vec<char>) = (s.chars().collect(), p.chars().collect());
+            assert_eq!(
+                like_match(&s, &p),
+                like_oracle(&sc, &pc),
+                "{s:?} LIKE {p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn like_is_fast_on_many_wildcards() {
+        // The recursive matcher takes time exponential in the number of `%`:
+        // 42 ms for six of them on a 40-character string.
+        let s = "a".repeat(1_000);
+        let p = format!("{}b", "%a".repeat(20));
+        let start = std::time::Instant::now();
+        assert!(!like_match(&s, &p));
+        assert!(like_match(&format!("{s}b"), &p));
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_millis() < 100, "took {elapsed:?}");
     }
 
     #[test]

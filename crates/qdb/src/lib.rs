@@ -52,6 +52,7 @@ pub mod pretty;
 pub use database::Database;
 pub use delta::{CellChange, Delta, DeltaInstance};
 pub use error::QdbError;
+pub use eval::RowPath;
 pub use expr::{BinOp, Expr};
 pub use instance::{BaseInstance, Instance};
 pub use plan::{AggFunc, Aggregate, Query};

@@ -201,6 +201,17 @@ impl Query {
         }
     }
 
+    /// The table of a `[Filter | Project]*` chain over one `Scan`, or `None`
+    /// if the plan has any other operator. Such a chain maps each row of
+    /// the table on its own (see [`crate::RowPath`]).
+    pub fn chain_table(&self) -> Option<&str> {
+        match self {
+            Query::Scan { table } => Some(table),
+            Query::Filter { input, .. } | Query::Project { input, .. } => input.chain_table(),
+            _ => None,
+        }
+    }
+
     /// True if the plan reads a single base table exactly once (no joins).
     pub fn is_single_table(&self) -> bool {
         self.count_scans() == 1
@@ -281,6 +292,18 @@ mod tests {
             q.tables_referenced(),
             vec!["Country".to_string(), "City".to_string()]
         );
+    }
+
+    #[test]
+    fn chain_table_names_the_scan_of_filter_project_chains_only() {
+        let chain = Query::scan("T")
+            .filter(Expr::col("a").gt(Expr::lit(1)))
+            .project_cols(&["a"]);
+        assert_eq!(chain.chain_table(), Some("T"));
+        assert_eq!(chain.clone().distinct().chain_table(), None);
+        assert_eq!(chain.limit(1).chain_table(), None);
+        let join = Query::scan("T").join(Query::scan("U"), vec![("a", "a")]);
+        assert_eq!(join.chain_table(), None);
     }
 
     #[test]

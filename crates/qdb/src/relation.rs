@@ -77,12 +77,17 @@ impl Relation {
         Ok(())
     }
 
-    /// Returns the rows sorted into a canonical order. Two results are equal
-    /// under bag semantics iff their canonical forms are identical.
-    pub fn canonical_rows(&self) -> Vec<Tuple> {
-        let mut rows = self.rows.clone();
+    /// The rows sorted into a canonical order. Two results are equal under
+    /// bag semantics iff their canonical forms are identical.
+    pub fn canonical_rows(&self) -> Vec<&Tuple> {
+        let mut rows: Vec<&Tuple> = self.rows.iter().collect();
         rows.sort();
         rows
+    }
+
+    /// The schema and rows, by value.
+    pub(crate) fn into_parts(self) -> (Schema, Vec<Tuple>) {
+        (self.schema, self.rows)
     }
 
     /// Bag-semantics equality with another result set.
