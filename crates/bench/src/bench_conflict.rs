@@ -6,8 +6,8 @@
 //! conflict sets, and writes the trajectory to `BENCH_conflict.json`:
 //!
 //! ```bash
-//! cargo run --release -p qp-bench --bin bench_conflict
-//! cargo run --release -p qp-bench --bin bench_conflict -- \
+//! cargo run --release -p qp-bench -- bench_conflict
+//! cargo run --release -p qp-bench -- bench_conflict \
 //!     --sizes 1000,5000,10000 --queries 40 --out BENCH_conflict.json
 //! ```
 //!
@@ -17,36 +17,33 @@
 
 use std::time::Instant;
 
-use qp_bench::arg_value;
+use qp_core::cli::{Args, CliError, Flag};
 use qp_market::{
     ConflictEngine, DeltaConflictEngine, ParallelConflictEngine, SupportConfig, SupportSet,
 };
-use qp_workloads::queries::skewed;
-use qp_workloads::world::{self, WorldConfig};
 use qp_workloads::Scale;
 
-struct Row {
-    support: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-    forced_4t_ms: f64,
-}
+use crate::{dataset_and_queries, write_artifact, WorkloadKind};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let sizes: Vec<usize> = arg_value(&args, "--sizes")
-        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
+/// The flags `qp-bench bench_conflict` accepts.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    ("--sizes N,N,...", "support sizes (default 1000,5000,10000)"),
+    ("--queries N", "skewed-workload queries (default 40)"),
+    ("--out PATH", "artifact path (default BENCH_conflict.json)"),
+];
+
+/// Runs the scaling sweep and writes the artifact.
+pub fn run(args: &Args) -> Result<(), CliError> {
+    let sizes: Vec<usize> = args
+        .list("--sizes")?
         .unwrap_or_else(|| vec![1000, 5000, 10_000]);
-    let num_queries: usize = arg_value(&args, "--queries")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40);
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_conflict.json".to_string());
+    let num_queries: usize = args.value("--queries")?.unwrap_or(40);
+    let out_path = args.raw("--out").unwrap_or("BENCH_conflict.json");
 
-    let cfg = WorldConfig::at_scale(Scale::Test);
-    let db = world::generate(&cfg);
-    let workload = skewed::workload(&db, cfg.countries);
+    let (db, workload) = dataset_and_queries(WorkloadKind::Skewed, Scale::Test);
     let queries = &workload.queries[..num_queries.min(workload.queries.len())];
-    let max_support = sizes.iter().copied().max().unwrap_or(1000);
+    let max_support = sizes.iter().copied().max().expect("lists are non-empty");
     let support = SupportSet::generate(&db, &SupportConfig::with_size(max_support));
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -90,33 +87,20 @@ fn main() {
             "  support {n:>6}: serial {serial_ms:>9.1} ms   parallel {parallel_ms:>9.1} ms   4-thread {forced_4t_ms:>9.1} ms   speedup {:.2}x",
             serial_ms / parallel_ms
         );
-        rows.push(Row {
-            support: s.len(),
-            serial_ms,
-            parallel_ms,
-            forced_4t_ms,
-        });
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"conflict_engine_scaling\",\n");
-    json.push_str("  \"workload\": \"skewed (world dataset, test scale)\",\n");
-    json.push_str(&format!("  \"queries\": {},\n", queries.len()));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"support\": {}, \"serial_ms\": {:.1}, \"parallel_ms\": {:.1}, \"parallel_4threads_ms\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.support,
-            r.serial_ms,
-            r.parallel_ms,
-            r.forced_4t_ms,
-            r.serial_ms / r.parallel_ms,
-            if i + 1 < rows.len() { "," } else { "" }
+        rows.push(format!(
+            "{{\"support\": {}, \"serial_ms\": {serial_ms:.1}, \"parallel_ms\": {parallel_ms:.1}, \"parallel_4threads_ms\": {forced_4t_ms:.1}, \"speedup\": {:.3}}}",
+            s.len(),
+            serial_ms / parallel_ms,
         ));
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("writing the benchmark artifact");
-    println!("wrote {out_path}");
+
+    let workload = "skewed (world dataset, test scale)";
+    let fields = [
+        ("benchmark", "\"conflict_engine_scaling\"".to_string()),
+        ("workload", format!("\"{workload}\"")),
+        ("queries", queries.len().to_string()),
+        ("threads", threads.to_string()),
+    ];
+    write_artifact(out_path, &fields, &rows);
+    Ok(())
 }

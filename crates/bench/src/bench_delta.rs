@@ -21,10 +21,10 @@
 //! maintenance noise by comparison.)
 //!
 //! ```bash
-//! cargo run --release -p qp-bench --bin bench_delta
-//! cargo run --release -p qp-bench --bin bench_delta -- \
+//! cargo run --release -p qp-bench -- bench_delta
+//! cargo run --release -p qp-bench -- bench_delta \
 //!     --sizes 1000,5000,10000 --deltas 1,5,20 --reps 15 --out BENCH_delta.json
-//! cargo run --release -p qp-bench --bin bench_delta -- --smoke   # CI-sized
+//! cargo run --release -p qp-bench -- bench_delta --smoke   # CI-sized
 //! ```
 
 use std::time::Instant;
@@ -32,10 +32,12 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use qp_bench::arg_value;
+use qp_core::cli::{self, Args, CliError, Flag};
 use qp_core::ItemSet;
 use qp_pricing::algorithms::{self, Repricer};
 use qp_sim::DemandWindow;
+
+use crate::{median, write_artifact};
 
 /// Support size and observed-bundle shape of the synthetic demand stream
 /// (thousands of support databases, as in the paper's experiments).
@@ -126,37 +128,28 @@ fn measure(algorithm: &'static str, m: usize, pct: usize, reps: usize, seed: u64
     }
 }
 
-/// Median of the collected per-repricing latencies — resistant to the
-/// allocator/scheduler spikes a shared machine injects into mean latencies.
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
-}
+/// The flags `qp-bench bench_delta` accepts.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    ("--smoke", "CI-sized defaults (window 300, delta 5%, 3 reps)"),
+    ("--sizes N,N,...", "window sizes m (default 1000,5000,10000)"),
+    ("--deltas P,P,...", "delta percentages (default 1,5,20)"),
+    ("--reps N", "repricings per cell (default 15)"),
+    ("--out PATH", "artifact path (default BENCH_delta.json)"),
+];
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let sizes: Vec<usize> = arg_value(&args, "--sizes")
-        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-        .unwrap_or_else(|| {
-            if smoke {
-                vec![300]
-            } else {
-                vec![1000, 5000, 10_000]
-            }
-        });
-    let deltas: Vec<usize> = arg_value(&args, "--deltas")
-        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-        .unwrap_or_else(|| if smoke { vec![5] } else { vec![1, 5, 20] });
-    let reps: usize = arg_value(&args, "--reps")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 3 } else { 15 });
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_delta.json".to_string());
+/// Runs every (algorithm, m, delta) cell and writes the artifact.
+pub fn run(args: &Args) -> Result<(), CliError> {
+    let smoke = args.switch("--smoke");
+    let (sizes, deltas, reps) = if smoke {
+        (vec![300], vec![5], 3)
+    } else {
+        (vec![1000, 5000, 10_000], vec![1, 5, 20], 15)
+    };
+    let sizes: Vec<usize> = args.list("--sizes")?.unwrap_or(sizes);
+    let deltas: Vec<usize> = args.list("--deltas")?.unwrap_or(deltas);
+    let reps = args.value_with("--reps", cli::positive)?.unwrap_or(reps);
+    let out_path = args.raw("--out").unwrap_or("BENCH_delta.json");
 
     println!(
         "delta repricing{}: {NUM_ITEMS} support items, windows {sizes:?}, deltas {deltas:?}%, {reps} reps",
@@ -176,31 +169,26 @@ fn main() {
                     row.incremental_ms,
                     row.full_ms / row.incremental_ms
                 );
-                rows.push(row);
+                rows.push(format!(
+                    "{{\"algorithm\": \"{}\", \"edges\": {}, \"delta_pct\": {}, \"full_ms\": {:.4}, \"incremental_ms\": {:.4}, \"speedup\": {:.2}}}",
+                    row.algorithm,
+                    row.edges,
+                    row.delta_pct,
+                    row.full_ms,
+                    row.incremental_ms,
+                    row.full_ms / row.incremental_ms,
+                ));
             }
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"delta_repricing\",\n");
-    json.push_str("  \"workload\": \"synthetic sliding demand window\",\n");
-    json.push_str(&format!("  \"support_items\": {NUM_ITEMS},\n"));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"edges\": {}, \"delta_pct\": {}, \"full_ms\": {:.4}, \"incremental_ms\": {:.4}, \"speedup\": {:.2}}}{}\n",
-            r.algorithm,
-            r.edges,
-            r.delta_pct,
-            r.full_ms,
-            r.incremental_ms,
-            r.full_ms / r.incremental_ms,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("writing the benchmark artifact");
-    println!("wrote {out_path}");
+    let workload = "synthetic sliding demand window";
+    let fields = [
+        ("benchmark", "\"delta_repricing\"".to_string()),
+        ("workload", format!("\"{workload}\"")),
+        ("support_items", NUM_ITEMS.to_string()),
+        ("reps", reps.to_string()),
+    ];
+    write_artifact(out_path, &fields, &rows);
+    Ok(())
 }

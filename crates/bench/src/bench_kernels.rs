@@ -40,10 +40,10 @@
 //! cannot drift from the differential test suites it mirrors.
 //!
 //! ```bash
-//! cargo run --release -p qp-bench --bin bench_kernels
-//! cargo run --release -p qp-bench --bin bench_kernels -- \
+//! cargo run --release -p qp-bench -- bench_kernels
+//! cargo run --release -p qp-bench -- bench_kernels \
 //!     --reps 15 --iters 200 --out BENCH_kernels.json
-//! cargo run --release -p qp-bench --bin bench_kernels -- --smoke   # CI-sized
+//! cargo run --release -p qp-bench -- bench_kernels --smoke   # CI-sized
 //! ```
 
 use std::hint::black_box;
@@ -53,13 +53,15 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use qp_bench::arg_value;
+use qp_core::cli::{self, Args, CliError, Flag};
 use qp_core::{reference, ItemSet};
 use qp_market::{Broker, PurchaseOutcome, SupportConfig};
 use qp_pricing::algorithms::{reference as rate_reference, RateTable};
 use qp_qdb::{ColumnType, Database, Query, Relation, Schema, Value};
 use qp_store::{FileStore, SharedStore};
 use qp_telemetry::TelemetrySink;
+
+use crate::{median, write_artifact};
 
 /// Operand pool sizes: enough pairs to defeat branch-predictor lock-in,
 /// small enough to stay cache-resident (the kernels, not the RAM, are
@@ -151,16 +153,6 @@ fn time_ns_paired<F: FnMut() -> u64, G: FnMut() -> u64>(
     }
     black_box(sink);
     (median(&mut before_samples), median(&mut after_samples))
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = samples.len();
-    if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-    }
 }
 
 /// Measures one set-algebra kernel over an operand pool: `before` is the
@@ -376,29 +368,9 @@ fn telemetry_overhead_row(pool: &[(ItemSet, ItemSet)], reps: usize, iters: usize
 /// `after/before` is the cost of *live* tracing on the quote path; the
 /// CI tracing job bounds it at 3 %.
 fn tracing_overhead_row(reps: usize, iters: usize) -> Row {
-    fn tiny_broker(sink: TelemetrySink) -> Broker {
-        let mut rel = Relation::new(Schema::new(vec![
-            ("name", ColumnType::Str),
-            ("size", ColumnType::Int),
-        ]));
-        for i in 0..32 {
-            rel.push(vec![format!("row{i}").into(), Value::Int(i)])
-                .expect("schema matches");
-        }
-        let mut db = Database::new();
-        db.add_table("T", rel);
-        Broker::builder(db)
-            .support_config(SupportConfig::with_size(40))
-            .algorithm("UBP")
-            .anticipate(Query::scan("T"), 30.0)
-            .telemetry(sink)
-            .build()
-            .expect("UBP is registered")
-    }
-
     let q = Query::scan("T");
-    let bare = tiny_broker(TelemetrySink::default());
-    let traced = tiny_broker(TelemetrySink::enabled());
+    let bare = tiny_broker(TelemetrySink::default(), None);
+    let traced = tiny_broker(TelemetrySink::enabled(), None);
     assert_eq!(
         bare.quote(&q).price.to_bits(),
         traced.quote(&q).price.to_bits(),
@@ -446,6 +418,30 @@ fn tracing_overhead_row(reps: usize, iters: usize) -> Row {
     }
 }
 
+/// The one-table broker the tracing and WAL rows settle against: UBP over
+/// 32 rows at support 40, on `sink`, and logging to `store` if given.
+fn tiny_broker(sink: TelemetrySink, store: Option<SharedStore>) -> Broker {
+    let mut rel = Relation::new(Schema::new(vec![
+        ("name", ColumnType::Str),
+        ("size", ColumnType::Int),
+    ]));
+    for i in 0..32 {
+        rel.push(vec![format!("row{i}").into(), Value::Int(i)])
+            .expect("schema matches");
+    }
+    let mut db = Database::new();
+    db.add_table("T", rel);
+    let mut builder = Broker::builder(db)
+        .support_config(SupportConfig::with_size(40))
+        .algorithm("UBP")
+        .anticipate(Query::scan("T"), 30.0)
+        .telemetry(sink);
+    if let Some(store) = store {
+        builder = builder.store(store);
+    }
+    builder.build().expect("UBP is registered")
+}
+
 /// Settles per timing iteration on the WAL row — alternating sold/declined
 /// so both ledger paths (and both WAL record kinds) are in the measurement.
 const WAL_OPS: usize = 64;
@@ -456,34 +452,13 @@ const WAL_OPS: usize = 64;
 /// is the durability tax on the quote path that the CI durability job
 /// bounds at 10 %.
 fn wal_append_row(reps: usize, iters: usize) -> Row {
-    fn tiny_broker(store: Option<SharedStore>) -> Broker {
-        let mut rel = Relation::new(Schema::new(vec![
-            ("name", ColumnType::Str),
-            ("size", ColumnType::Int),
-        ]));
-        for i in 0..32 {
-            rel.push(vec![format!("row{i}").into(), Value::Int(i)])
-                .expect("schema matches");
-        }
-        let mut db = Database::new();
-        db.add_table("T", rel);
-        let mut builder = Broker::builder(db)
-            .support_config(SupportConfig::with_size(40))
-            .algorithm("UBP")
-            .anticipate(Query::scan("T"), 30.0);
-        if let Some(store) = store {
-            builder = builder.store(store);
-        }
-        builder.build().expect("UBP is registered")
-    }
-
     let q = Query::scan("T");
-    let bare = tiny_broker(None);
+    let bare = tiny_broker(TelemetrySink::default(), None);
     let dir = std::env::temp_dir().join(format!("qp-bench-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store: SharedStore =
         Arc::new(FileStore::open(&dir).expect("opening the WAL bench scratch dir"));
-    let durable = tiny_broker(Some(store));
+    let durable = tiny_broker(TelemetrySink::default(), Some(store));
     assert_eq!(
         bare.quote(&q).price.to_bits(),
         durable.quote(&q).price.to_bits(),
@@ -530,16 +505,22 @@ fn wal_append_row(reps: usize, iters: usize) -> Row {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let reps: usize = arg_value(&args, "--reps")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 5 } else { 15 });
-    let iters: usize = arg_value(&args, "--iters")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 20 } else { 200 });
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
+/// The flags `qp-bench bench_kernels` accepts.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    ("--smoke", "CI-sized defaults (5 reps x 20 iters)"),
+    ("--reps N", "timing samples per row (default 15)"),
+    ("--iters N", "sweeps per sample (default 200)"),
+    ("--out PATH", "artifact path (default BENCH_kernels.json)"),
+];
+
+/// Times every kernel pair and writes the artifact.
+pub fn run(args: &Args) -> Result<(), CliError> {
+    let smoke = args.switch("--smoke");
+    let (reps, iters) = if smoke { (5, 20) } else { (15, 200) };
+    let reps = args.value_with("--reps", cli::positive)?.unwrap_or(reps);
+    let iters = args.value_with("--iters", cli::positive)?.unwrap_or(iters);
+    let out_path = args.raw("--out").unwrap_or("BENCH_kernels.json");
 
     println!(
         "kernel micro-benchmarks{}: {PAIRS} operand pairs/group, {reps} reps x {iters} iters",
@@ -571,26 +552,23 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"pricing_kernels\",\n");
-    json.push_str(
-        "  \"workload\": \"set algebra on inline- and chunked-sized operands; UIP rate-multiset merge\",\n",
-    );
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"group\": \"{}\", \"kernel\": \"{}\", \"before_ns\": {:.2}, \"after_ns\": {:.2}, \"speedup\": {:.2}}}{}\n",
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| format!(
+            "{{\"group\": \"{}\", \"kernel\": \"{}\", \"before_ns\": {:.2}, \"after_ns\": {:.2}, \"speedup\": {:.2}}}",
             r.group,
             r.kernel,
             r.before_ns,
             r.after_ns,
             r.before_ns / r.after_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("writing the benchmark artifact");
-    println!("wrote {out_path}");
+        ))
+        .collect();
+    let workload = "set algebra on inline- and chunked-sized operands; UIP rate-multiset merge";
+    let fields = [
+        ("benchmark", "\"pricing_kernels\"".to_string()),
+        ("workload", format!("\"{workload}\"")),
+        ("reps", reps.to_string()),
+    ];
+    write_artifact(out_path, &fields, &rows);
+    Ok(())
 }

@@ -1,28 +1,34 @@
 //! # qp-bench — the experiment harness
 //!
-//! Shared plumbing for the binaries under `src/bin/`, each of which
-//! regenerates one table or figure of the paper (see `EXPERIMENTS.md` at the
-//! workspace root for the full index). The harness builds *workload
-//! instances* — dataset + query workload + support set + conflict-set
-//! hypergraph — and runs every pricing algorithm on them, reporting revenue
-//! normalized by the two upper bounds exactly as the paper's figures do.
+//! The library behind the `qp-bench` binary, whose subcommands each
+//! regenerate one table or figure of the paper ([`tables`], [`figures`],
+//! [`lower_bound_gaps`]) or write one benchmark artifact ([`bench_conflict`],
+//! [`bench_delta`], [`bench_kernels`], [`sim_scenarios`]). The harness builds
+//! *workload instances* — dataset + query workload + support set +
+//! conflict-set hypergraph — and runs every pricing algorithm on them,
+//! reporting revenue normalized by the two upper bounds exactly as the
+//! paper's figures do.
 //!
-//! All experiments accept a `--scale {test|quick|full}` argument; the default
-//! (`test`) runs each figure in seconds on a laptop at reduced dataset /
-//! support sizes, `quick` approaches the paper's workload sizes, and `full`
-//! is the largest configuration that is still practical without the paper's
-//! multi-hour budget.
+//! The paper artifacts take a `--scale {test|quick|full}` argument; the
+//! default (`test`) runs each figure in seconds on a laptop at reduced
+//! dataset / support sizes, `quick` approaches the paper's workload sizes,
+//! and `full` is the largest configuration that is still practical without
+//! the paper's multi-hour budget.
 
+pub mod bench_conflict;
+pub mod bench_delta;
+pub mod bench_kernels;
 pub mod figures;
+pub mod lower_bound_gaps;
+pub mod sim_scenarios;
+pub mod tables;
 
 use std::time::{Duration, Instant};
 
+use qp_core::cli::{Args, CliError, Flag};
 use qp_market::{build_hypergraph, ParallelConflictEngine, SupportConfig, SupportSet};
-use qp_pricing::algorithms::{
-    self, refine_uniform_bundle_price, uniform_bundle_price, xos_pricing, CipConfig, LpipConfig,
-    PricingAlgorithm,
-};
-use qp_pricing::{bounds, revenue, Hypergraph};
+use qp_pricing::algorithms::{self, CipConfig, LpipConfig, PricingAlgorithm};
+use qp_pricing::{bounds, Hypergraph};
 use qp_qdb::Database;
 use qp_workloads::queries::{skewed, uniform, Workload};
 use qp_workloads::valuations::{assign_valuations, ValuationModel};
@@ -76,41 +82,28 @@ impl WorkloadKind {
     }
 }
 
-/// Parses `--scale {test|quick|full}` from the process arguments
-/// (defaulting to `test` so every binary finishes in seconds).
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    arg_value(&args, "--scale")
-        .map(|v| parse_scale(&v))
-        .unwrap_or(Scale::Test)
+/// The one flag every paper artifact takes.
+pub const SCALE_FLAGS: &[Flag] = &[("--scale test|quick|full", "dataset sizes (default test)")];
+
+/// Reads `--scale` (see [`SCALE_FLAGS`]), defaulting to `test` so every
+/// artifact finishes in seconds.
+pub fn scale_arg(args: &Args) -> Result<Scale, CliError> {
+    Ok(args
+        .value_with("--scale", parse_scale)?
+        .unwrap_or(Scale::Test))
 }
 
-/// Looks up a `--flag value` or `--flag=value` argument, shared by the
-/// artifact binaries (`bench_conflict`, `sim_scenarios`, …).
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    for i in 0..args.len() {
-        if args[i] == flag {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = args[i].strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn parse_scale(v: &str) -> Scale {
+fn parse_scale(v: &str) -> Result<Scale, String> {
     match v {
-        "quick" => Scale::Quick,
-        "full" => Scale::Full,
-        _ => Scale::Test,
+        "test" => Ok(Scale::Test),
+        "quick" => Ok(Scale::Quick),
+        "full" => Ok(Scale::Full),
+        _ => Err("expected test, quick or full".into()),
     }
 }
 
 /// A fully-built experiment instance.
 pub struct WorkloadInstance {
-    /// Which workload this is.
-    pub kind: WorkloadKind,
     /// The seller's database.
     pub db: Database,
     /// The sampled support set.
@@ -124,26 +117,16 @@ pub struct WorkloadInstance {
     pub construction_time: Duration,
 }
 
-/// Support-set size used per workload at a given scale.
-pub fn support_size(kind: WorkloadKind, scale: Scale) -> usize {
-    let base = match kind {
-        WorkloadKind::Skewed | WorkloadKind::Uniform => 1.0,
-        // The paper uses larger supports for the benchmark datasets; the
-        // harness keeps the same ratio but smaller absolute sizes.
-        WorkloadKind::Ssb | WorkloadKind::Tpch => 1.0,
-    };
-    (scale.default_support() as f64 * base) as usize
-}
-
-/// Builds a workload instance: dataset, queries, support, conflict sets.
+/// Builds a workload instance at the scale's default support size (the
+/// same for every workload).
 pub fn build_instance(kind: WorkloadKind, scale: Scale) -> WorkloadInstance {
-    build_instance_with_support(kind, scale, support_size(kind, scale))
+    build_instance_with_support(kind, scale, scale.default_support())
 }
 
 /// Generates a workload's dataset and query set at a scale — the common
 /// front half of [`build_instance_with_support`], also used directly by
-/// binaries (e.g. `sim_scenarios`) that build their own broker instead of a
-/// hypergraph.
+/// artifacts (e.g. [`sim_scenarios`]) that build their own broker instead of
+/// a hypergraph.
 pub fn dataset_and_queries(kind: WorkloadKind, scale: Scale) -> (Database, Workload) {
     match kind {
         WorkloadKind::Skewed => {
@@ -180,16 +163,9 @@ pub fn build_instance_with_support(
     support: usize,
 ) -> WorkloadInstance {
     let (db, workload) = dataset_and_queries(kind, scale);
-
     let support = SupportSet::generate(&db, &SupportConfig::with_size(support));
-    let start = Instant::now();
-    // Conflict sets fan out across the parallel engine's workers.
-    let engine = ParallelConflictEngine::new(&db, &support);
-    let hypergraph = build_hypergraph(&engine, &workload.queries);
-    let construction_time = start.elapsed();
-
+    let (hypergraph, construction_time) = timed_hypergraph(&db, &support, &workload);
     WorkloadInstance {
-        kind,
         db,
         support,
         workload,
@@ -198,15 +174,29 @@ pub fn build_instance_with_support(
     }
 }
 
-/// Re-computes the hypergraph for a truncated support (Figure 8, Tables 5–6).
+/// Five geometrically spaced support sizes up to `full`, mirroring the
+/// paper's {100, 500, 1000, 5000, 15000} sweep (Figure 8, Tables 5–6).
+pub fn support_sweep(full: usize) -> Vec<usize> {
+    [0.01, 0.05, 0.1, 0.5, 1.0]
+        .iter()
+        .map(|f| ((full as f64 * f) as usize).max(5))
+        .collect()
+}
+
+/// Re-computes the hypergraph for a truncated support (Tables 5–6).
 pub fn hypergraph_for_support(
     inst: &WorkloadInstance,
     support_size: usize,
 ) -> (Hypergraph, Duration) {
     let support = inst.support.truncate(support_size);
+    timed_hypergraph(&inst.db, &support, &inst.workload)
+}
+
+/// The conflict-set hypergraph of `workload` over `support`, fanned out
+/// across the parallel engine's workers, and the time it took to build.
+fn timed_hypergraph(db: &Database, s: &SupportSet, w: &Workload) -> (Hypergraph, Duration) {
     let start = Instant::now();
-    let engine = ParallelConflictEngine::new(&inst.db, &support);
-    let h = build_hypergraph(&engine, &inst.workload.queries);
+    let h = build_hypergraph(&ParallelConflictEngine::new(db, s), &w.queries);
     (h, start.elapsed())
 }
 
@@ -257,7 +247,7 @@ impl AlgoConfig {
     }
 
     /// The paper's six-algorithm roster from the registry, tuned with this
-    /// config (the roster every experiment binary iterates).
+    /// config (the roster every experiment iterates).
     pub fn algorithms(&self) -> Vec<Box<dyn PricingAlgorithm>> {
         algorithms::all_with(&self.lpip, &self.cip)
     }
@@ -331,42 +321,34 @@ pub fn print_panel(title: &str, runs: &[AlgorithmRun], sum: f64, subadditive: f6
     }
 }
 
+/// Writes a `BENCH_*.json` artifact: the header `fields` (values already
+/// JSON-encoded), then `rows`, one JSON object per line.
+pub fn write_artifact(path: &str, fields: &[(&str, String)], rows: &[String]) {
+    let mut json = String::from("{\n");
+    for (key, value) in fields {
+        json.push_str(&format!("  \"{key}\": {value},\n"));
+    }
+    let rows = rows.join(",\n    ");
+    json.push_str(&format!("  \"rows\": [\n    {rows}\n  ]\n}}\n"));
+    std::fs::write(path, json).expect("writing the benchmark artifact");
+    println!("wrote {path}");
+}
+
+/// Median of timing samples — resistant to the allocator/scheduler spikes
+/// a shared machine injects into mean latencies.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    let n = samples.len();
+    if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
+    }
+}
+
 /// Formats a duration in seconds with two decimals (Tables 4–6 use seconds).
 pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
-}
-
-/// Checks that `xos_pricing` and composing registry-produced LPIP / CIP
-/// pricings through `xos_from_components` agree (used by the ablation binary
-/// and tests).
-pub fn xos_consistency(h: &Hypergraph, cfg: &AlgoConfig) -> (f64, f64) {
-    let full = xos_pricing(h, &cfg.lpip, &cfg.cip);
-    let lpip = algorithms::by_name_with("LPIP", &cfg.lpip, &cfg.cip)
-        .expect("LPIP is registered")
-        .run(h);
-    let cip = algorithms::by_name_with("CIP", &cfg.lpip, &cfg.cip)
-        .expect("CIP is registered")
-        .run(h);
-    let reused = qp_pricing::algorithms::xos_from_components(h, &[lpip.pricing, cip.pricing]);
-    (full.revenue, reused.revenue)
-}
-
-/// Also re-export the refinement experiment helper for the `ubp_refinement`
-/// binary.
-pub fn ubp_and_refinement(h: &Hypergraph) -> (f64, f64, f64) {
-    let sum = bounds::sum_of_valuations(h);
-    let ubp = uniform_bundle_price(h);
-    let refined = refine_uniform_bundle_price(h);
-    let _ = revenue::revenue(h, &refined.pricing);
-    (
-        if sum > 0.0 { ubp.revenue / sum } else { 0.0 },
-        if sum > 0.0 {
-            refined.revenue / sum
-        } else {
-            0.0
-        },
-        sum,
-    )
 }
 
 #[cfg(test)]
@@ -404,9 +386,11 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        assert_eq!(parse_scale("quick"), Scale::Quick);
-        assert_eq!(parse_scale("full"), Scale::Full);
-        assert_eq!(parse_scale("anything-else"), Scale::Test);
+        assert_eq!(parse_scale("test"), Ok(Scale::Test));
+        assert_eq!(parse_scale("quick"), Ok(Scale::Quick));
+        assert_eq!(parse_scale("full"), Ok(Scale::Full));
+        assert!(parse_scale("anything-else").is_err());
+        assert!(parse_scale("quik").is_err());
     }
 
     #[test]

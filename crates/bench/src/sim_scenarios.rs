@@ -7,10 +7,10 @@
 //! repricing latency — to `BENCH_sim.json`:
 //!
 //! ```bash
-//! cargo run --release -p qp-bench --bin sim_scenarios
-//! cargo run --release -p qp-bench --bin sim_scenarios -- \
+//! cargo run --release -p qp-bench -- sim_scenarios
+//! cargo run --release -p qp-bench -- sim_scenarios \
 //!     --workloads skewed,uniform --seed 42 --ticks 40 --out BENCH_sim.json
-//! cargo run --release -p qp-bench --bin sim_scenarios -- --smoke   # CI-sized
+//! cargo run --release -p qp-bench -- sim_scenarios --smoke   # CI-sized
 //! ```
 //!
 //! Every run re-executes the first scenario on a second identically-built
@@ -20,13 +20,16 @@
 
 use std::time::Instant;
 
-use qp_bench::{arg_value, dataset_and_queries, WorkloadKind};
+use qp_core::cli::{Args, CliError, Flag};
 use qp_market::{Broker, SupportConfig};
+use qp_pricing::algorithms;
 use qp_qdb::{Database, Query};
 use qp_sim::{bench_json, library, SimConfig, SimReport};
 use qp_workloads::Scale;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::{dataset_and_queries, WorkloadKind, WorkloadKind::*};
 
 struct Sizing {
     /// Support-set size behind every broker.
@@ -55,21 +58,32 @@ fn build_broker(
         .unwrap_or_else(|e| panic!("broker build failed: {e}"))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let workload_names: Vec<String> = arg_value(&args, "--workloads")
-        .unwrap_or_else(|| "skewed,uniform".to_string())
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let algorithm = arg_value(&args, "--algorithm").unwrap_or_else(|| "UIP".to_string());
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let sizing = if smoke {
+/// The flags `qp-bench sim_scenarios` accepts.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag] = &[
+    ("--smoke", "CI-sized run (support 80, 60 queries, 12 ticks)"),
+    ("--workloads W,W,...", "skewed, uniform, ssb, tpch (default skewed,uniform)"),
+    ("--seed N", "simulation seed (default 42)"),
+    ("--algorithm NAME", "registered pricing algorithm (default UIP)"),
+    ("--ticks N", "horizon per scenario (default 40)"),
+    ("--out PATH", "artifact path (default BENCH_sim.json)"),
+];
+
+/// Runs the scenario library over every workload and writes the artifact.
+pub fn run(args: &Args) -> Result<(), CliError> {
+    let smoke = args.switch("--smoke");
+    let workloads: Vec<(String, WorkloadKind)> = args
+        .list_with("--workloads", |name| match WorkloadKind::parse(name) {
+            Some(kind) => Ok((name.to_string(), kind)),
+            None => Err("expected skewed, uniform, ssb or tpch".to_string()),
+        })?
+        .unwrap_or_else(|| vec![("skewed".into(), Skewed), ("uniform".into(), Uniform)]);
+    let seed: u64 = args.value("--seed")?.unwrap_or(42);
+    let algorithm = args
+        .value_with("--algorithm", algorithms::check_name)?
+        .unwrap_or_else(|| "UIP".to_string());
+    let out_path = args.raw("--out").unwrap_or("BENCH_sim.json");
+    let mut sizing = if smoke {
         Sizing {
             support: 80,
             pool: 60,
@@ -82,17 +96,14 @@ fn main() {
             ticks: 40,
         }
     };
-    let ticks = arg_value(&args, "--ticks")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(sizing.ticks);
-    let sizing = Sizing { ticks, ..sizing };
+    sizing.ticks = args.value("--ticks")?.unwrap_or(sizing.ticks);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
     println!(
         "sim_scenarios: {} workloads, seed {seed}, {} ticks, {threads} hardware threads{}",
-        workload_names.len(),
+        workloads.len(),
         sizing.ticks,
         if smoke { " (smoke)" } else { "" }
     );
@@ -103,12 +114,9 @@ fn main() {
         ..SimConfig::default()
     };
     let mut runs: Vec<SimReport> = Vec::new();
-    for name in &workload_names {
-        let kind = WorkloadKind::parse(name).unwrap_or_else(|| {
-            panic!("unknown workload {name:?} (expected skewed, uniform, ssb, or tpch)")
-        });
+    for (name, kind) in &workloads {
         let started = Instant::now();
-        let (db, workload) = dataset_and_queries(kind, Scale::Test);
+        let (db, workload) = dataset_and_queries(*kind, Scale::Test);
         let mut pool: Vec<Query> = workload.queries;
         pool.truncate(sizing.pool);
         println!(
@@ -150,11 +158,12 @@ fn main() {
     }
 
     let json = bench_json(seed, threads, &runs);
-    std::fs::write(&out_path, json).expect("writing the benchmark artifact");
+    std::fs::write(out_path, json).expect("writing the benchmark artifact");
     println!(
         "wrote {out_path}: {} runs ({} scenarios x {} workloads), determinism check passed",
         runs.len(),
-        runs.len() / workload_names.len(),
-        workload_names.len()
+        runs.len() / workloads.len(),
+        workloads.len()
     );
+    Ok(())
 }

@@ -19,9 +19,12 @@
 //!   differential-test oracle and benchmark baseline;
 //! * [`ring`](RingBuffer) — the bounded overwrite-oldest buffer backing
 //!   per-thread telemetry journals and other fixed-size histories;
+//! * [`cli`] — the strict command-line parser every workspace binary that
+//!   takes flags goes through;
 //! * [`codec`] — CRC-32 and the little-endian byte-cursor primitives the
 //!   `qp-store` WAL/snapshot record formats are framed with.
 
+pub mod cli;
 pub mod codec;
 pub mod reference;
 mod ring;

@@ -8,7 +8,7 @@
 //!   assert every fast-path kernel (inline representation, single-block
 //!   early exits, 4-blocks-per-iteration chunked loops) is **bit-identical**
 //!   to these functions on arbitrary inputs;
-//! * `bench_kernels` uses them as the *before* rows of
+//! * `qp-bench bench_kernels` uses them as the *before* rows of
 //!   `BENCH_kernels.json`.
 //!
 //! These run at the old speed on purpose — they allocate a fresh `Vec<u64>`

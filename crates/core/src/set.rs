@@ -644,7 +644,7 @@ fn andnot_blocks(dst: &mut [u64], src: &[u64]) {
 ///
 /// Deliberately *not* hand-chunked like the bitwise kernels above: popcount
 /// is a pure reduction with no stores, and the compiler already unrolls
-/// this zip into an optimal `popcnt` chain — `bench_kernels` showed the
+/// this zip into an optimal `popcnt` chain — `qp-bench bench_kernels` showed the
 /// manual 4-lane split/remainder form consistently ~10% slower.
 #[inline]
 fn popcount_and(a: &[u64], b: &[u64]) -> usize {

@@ -2,7 +2,9 @@
 //! the optimum, and pathological problems must come back as the right
 //! [`LpError`] variant — never a hang, never a panic.
 
-use qp_lp::{ConstraintOp, LpError, LpProblem, Sense};
+use qp_lp::{ConstraintOp, LpError, LpProblem, LpStatus, Sense};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn approx(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-6
@@ -248,4 +250,40 @@ fn zero_variable_problems_are_fine() {
     let mut lp = LpProblem::new(Sense::Maximize, 0);
     lp.add_constraint(vec![], ConstraintOp::Ge, 1.0);
     assert_eq!(lp.solve().unwrap_err(), LpError::Infeasible);
+}
+
+// ---- Pricing-shaped LPs ------------------------------------------------
+
+/// A random LP shaped like the pricing LPs: `≤` packing rows with a handful
+/// of non-zeros each, plus per-variable caps (the valuation caps) that keep
+/// it bounded when a variable appears in no packing row.
+fn pricing_like_lp(vars: usize, rows: usize, seed: u64) -> LpProblem {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut lp = LpProblem::new(Sense::Maximize, vars);
+    for j in 0..vars {
+        lp.set_objective(j, rng.gen_range(0.5..2.0));
+    }
+    for _ in 0..rows {
+        let nnz = rng.gen_range(2..8);
+        let coeffs: Vec<(usize, f64)> = (0..nnz).map(|_| (rng.gen_range(0..vars), 1.0)).collect();
+        lp.add_constraint(coeffs, ConstraintOp::Le, rng.gen_range(5.0..50.0));
+    }
+    for j in 0..vars {
+        lp.add_constraint(vec![(j, 1.0)], ConstraintOp::Le, 100.0);
+    }
+    lp
+}
+
+#[test]
+fn pricing_shaped_lps_solve_to_feasible_optima() {
+    for (vars, rows) in [(50, 40), (200, 150), (400, 300)] {
+        let lp = pricing_like_lp(vars, rows, 5);
+        let sol = lp.solve().unwrap();
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert!(sol.primal.iter().all(|&x| x >= -1e-6), "{vars}v");
+        for c in lp.constraints() {
+            let lhs: f64 = c.coeffs.iter().map(|&(j, a)| a * sol.value(j)).sum();
+            assert!(lhs <= c.rhs + 1e-6, "{vars}v: {lhs} > {}", c.rhs);
+        }
+    }
 }

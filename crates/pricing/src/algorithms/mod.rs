@@ -31,8 +31,8 @@ pub use layering::layering;
 pub use lpip::{lp_item_price, LpipConfig};
 pub use refine::refine_uniform_bundle_price;
 pub use registry::{
-    all, all_with, by_name, by_name_with, Cip, Layering, Lpip, PricingAlgorithm, Ubp, UbpRefined,
-    Uip, Xos, PAPER_ALGORITHMS,
+    all, all_with, by_name, by_name_with, check_name, Cip, Layering, Lpip, PricingAlgorithm, Ubp,
+    UbpRefined, Uip, Xos, PAPER_ALGORITHMS,
 };
 pub use ubp::uniform_bundle_price;
 pub use uip::uniform_item_price;

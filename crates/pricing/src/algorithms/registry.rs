@@ -207,6 +207,13 @@ pub fn by_name(name: &str) -> Option<Box<dyn PricingAlgorithm>> {
     by_name_with(name, &LpipConfig::default(), &CipConfig::default())
 }
 
+/// Checks an algorithm name given on a command line: `Ok` with the name
+/// unchanged when [`by_name`] resolves it, otherwise the reason to report.
+pub fn check_name(name: &str) -> Result<String, &'static str> {
+    let known = by_name(name).ok_or("no registered pricing algorithm has this name");
+    known.map(|_| name.to_string())
+}
+
 /// Resolves an algorithm by name with explicit LPIP / CIP tuning.
 ///
 /// Derived from the [`all_with`] roster (plus the off-roster

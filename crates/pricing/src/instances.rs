@@ -3,9 +3,10 @@
 //! These constructions witness the Ω(log m) separations summarized in
 //! Figure 3: instances where uniform bundle pricing, item pricing, or both
 //! lose a logarithmic factor against the optimal monotone subadditive
-//! pricing. They are used by the test suite and by the `lower_bound_gaps`
-//! experiment binary to verify that the implemented algorithms actually
-//! exhibit the predicted gaps.
+//! pricing. They are used by the test suite and by `qp-bench
+//! lower_bound_gaps` (whose claims `crates/bench/tests/paper_claims.rs`
+//! checks) to verify that the implemented algorithms actually exhibit the
+//! predicted gaps.
 
 use crate::Hypergraph;
 

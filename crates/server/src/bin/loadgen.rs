@@ -33,7 +33,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::atomic::{AtomicBool, Ordering};
+use qp_core::cli::{self, CliError, Spec};
 use qp_market::{Broker, SupportConfig};
+use qp_pricing::algorithms;
 use qp_qdb::{Database, Query};
 use qp_server::{
     BundleTable, CrashSwitch, Endpoint, FlightRecorder, NetTransport, QuoteClient, QuoteServer,
@@ -75,16 +77,86 @@ struct RunResult {
     server_metrics: MetricsSnapshot,
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    for i in 0..args.len() {
-        if args[i] == flag {
-            return args.get(i + 1).cloned();
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "loadgen",
+    about: "Seeded traffic against a loopback quote server -> BENCH_server.json.",
+    flags: &[
+        ("--smoke", "CI-sized run (support 60, 40 queries, 10 ticks, shards 1,2)"),
+        ("--trace", "send every request in a TRACED envelope; check stitching"),
+        ("--seed N", "simulation seed (default 42)"),
+        ("--algorithm NAME", "registered pricing algorithm (default UBP)"),
+        ("--out PATH", "artifact path (default BENCH_server.json)"),
+        ("--ticks N", "simulation horizon (default 30)"),
+        ("--workers N", "client connections (default 4)"),
+        ("--shards N,N,...", "shard counts to run (default 1,2,4)"),
+        ("--kill-after N,N,...", "crash harness instead: kill after N requests"),
+        ("--data-dir DIR", "crash harness data directory (default a temp dir)"),
+        ("--snapshot-every N", "crash harness snapshot cadence (default 8)"),
+        ("--metrics-out PATH", "write merged server METRICS as Prometheus text"),
+    ],
+};
+
+/// Every flag, checked before any server is built.
+struct Options {
+    smoke: bool,
+    trace: bool,
+    seed: u64,
+    algorithm: String,
+    out_path: String,
+    sizing: Sizing,
+    kill_after: Option<Vec<u64>>,
+    data_dir: PathBuf,
+    snapshot_every: u64,
+    metrics_out: Option<String>,
+}
+
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
+    let args = SPEC.parse(args)?;
+    let smoke = args.switch("--smoke");
+    let mut sizing = if smoke {
+        Sizing {
+            support: 60,
+            pool: 40,
+            ticks: 10,
+            rate: 6.0,
+            workers: 3,
+            shard_counts: vec![1, 2],
         }
-        if let Some(v) = args[i].strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
+    } else {
+        Sizing {
+            support: 120,
+            pool: 100,
+            ticks: 30,
+            rate: 12.0,
+            workers: 4,
+            shard_counts: vec![1, 2, 4],
         }
+    };
+    sizing.ticks = args.value("--ticks")?.unwrap_or(sizing.ticks);
+    sizing.workers = args
+        .value_with("--workers", cli::positive)?
+        .unwrap_or(sizing.workers);
+    if let Some(counts) = args.list_with("--shards", cli::positive)? {
+        sizing.shard_counts = counts;
     }
-    None
+    let temp_dir = || std::env::temp_dir().join(format!("qp-crash-{}", std::process::id()));
+    Ok(Options {
+        smoke,
+        trace: args.switch("--trace"),
+        seed: args.value("--seed")?.unwrap_or(42),
+        algorithm: args
+            .value_with("--algorithm", algorithms::check_name)?
+            .unwrap_or_else(|| "UBP".to_string()),
+        out_path: args.raw("--out").unwrap_or("BENCH_server.json").to_string(),
+        sizing,
+        kill_after: args.list("--kill-after")?,
+        data_dir: args.raw("--data-dir").map_or_else(temp_dir, PathBuf::from),
+        snapshot_every: args
+            .value("--snapshot-every")?
+            .unwrap_or(DEFAULT_SNAPSHOT_EVERY),
+        metrics_out: args.raw("--metrics-out").map(str::to_string),
+    })
 }
 
 /// A deterministically-priced broker replica — every call with the same
@@ -596,50 +668,19 @@ fn run_crash_one(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let trace = args.iter().any(|a| a == "--trace");
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let algorithm = arg_value(&args, "--algorithm").unwrap_or_else(|| "UBP".to_string());
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_server.json".to_string());
-    let mut sizing = if smoke {
-        Sizing {
-            support: 60,
-            pool: 40,
-            ticks: 10,
-            rate: 6.0,
-            workers: 3,
-            shard_counts: vec![1, 2],
-        }
-    } else {
-        Sizing {
-            support: 120,
-            pool: 100,
-            ticks: 30,
-            rate: 12.0,
-            workers: 4,
-            shard_counts: vec![1, 2, 4],
-        }
-    };
-    if let Some(t) = arg_value(&args, "--ticks").and_then(|s| s.parse().ok()) {
-        sizing.ticks = t;
-    }
-    if let Some(w) = arg_value(&args, "--workers").and_then(|s| s.parse().ok()) {
-        sizing.workers = w;
-    }
-    if let Some(list) = arg_value(&args, "--shards") {
-        sizing.shard_counts = list
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .filter(|&s| s > 0)
-            .collect();
-        assert!(
-            !sizing.shard_counts.is_empty(),
-            "--shards parsed to nothing"
-        );
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        smoke,
+        trace,
+        seed,
+        algorithm,
+        out_path,
+        sizing,
+        kill_after,
+        data_dir,
+        snapshot_every,
+        metrics_out,
+    } = parse_args(&args).unwrap_or_else(|e| cli::exit(&e, &SPEC.usage()));
 
     println!(
         "loadgen: workload skewed, seed {seed}, {} ticks, shard counts {:?}, {} workers{}{}",
@@ -670,20 +711,7 @@ fn main() {
     // recovers it from `--data-dir`, and demands bit-identical revenue
     // against the uninterrupted in-process run. No benchmark artifact —
     // this mode is a correctness gate.
-    if let Some(kill_list) = arg_value(&args, "--kill-after") {
-        let offsets: Vec<u64> = kill_list
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect();
-        assert!(!offsets.is_empty(), "--kill-after parsed to nothing");
-        let data_dir = arg_value(&args, "--data-dir")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("qp-crash-{}", std::process::id()))
-            });
-        let snapshot_every: u64 = arg_value(&args, "--snapshot-every")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_SNAPSHOT_EVERY);
+    if let Some(offsets) = kill_after {
         println!(
             "crash harness: kill offsets {:?}, data dir {}, snapshot every {snapshot_every}",
             offsets,
@@ -829,7 +857,7 @@ fn main() {
 
     // Prometheus-style exposition of the merged server registries, for
     // eyeballing or scraping-pipeline smoke tests.
-    if let Some(prom_path) = arg_value(&args, "--metrics-out") {
+    if let Some(prom_path) = metrics_out {
         let text = qp_telemetry::expose::prometheus_text(&merged_metrics);
         std::fs::write(&prom_path, text).expect("writing the metrics exposition");
         println!("wrote {prom_path}: merged server METRICS in Prometheus text form");

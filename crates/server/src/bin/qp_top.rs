@@ -21,9 +21,23 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 
+use qp_core::cli::{self, CliError, Spec};
 use qp_server::client::QuoteClient;
 use qp_server::top::{render_dashboard, render_postmortem};
 use qp_telemetry::{FlightDump, RollingWindows};
+
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "qp_top",
+    about: "Live dashboard for a quote server, or a post-mortem of its flight dump.",
+    flags: &[
+        ("--addr HOST:PORT", "server address (default 127.0.0.1:7171)"),
+        ("--interval-ms N", "redraw interval (default 1000)"),
+        ("--frames N", "stop after N redraws (default 0: until the server goes away)"),
+        ("--no-clear", "append frames instead of clearing the screen"),
+        ("--postmortem DATA_DIR", "render DATA_DIR's flight dump and exit"),
+    ],
+};
 
 struct Options {
     addr: SocketAddr,
@@ -33,51 +47,22 @@ struct Options {
     postmortem: Option<String>,
 }
 
-fn parse_args() -> Options {
-    let mut opts = Options {
-        addr: "127.0.0.1:7171".parse().expect("static addr"),
-        interval: Duration::from_millis(1000),
-        frames: 0,
-        no_clear: false,
-        postmortem: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => {
-                let v = args.next().expect("--addr needs host:port");
-                opts.addr = v.parse().expect("--addr must be host:port");
-            }
-            "--interval-ms" => {
-                let v = args.next().expect("--interval-ms needs a number");
-                opts.interval = Duration::from_millis(v.parse().expect("interval ms"));
-            }
-            "--frames" => {
-                let v = args.next().expect("--frames needs a number");
-                opts.frames = v.parse().expect("frame count");
-            }
-            "--no-clear" => opts.no_clear = true,
-            "--postmortem" => {
-                opts.postmortem = Some(args.next().expect("--postmortem needs a data dir"));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: qp_top [--addr HOST:PORT] [--interval-ms N] [--frames N] \
-                     [--no-clear] | --postmortem DATA_DIR"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
+    let args = SPEC.parse(args)?;
+    Ok(Options {
+        addr: args
+            .value("--addr")?
+            .unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 7171))),
+        interval: Duration::from_millis(args.value("--interval-ms")?.unwrap_or(1000)),
+        frames: args.value("--frames")?.unwrap_or(0),
+        no_clear: args.switch("--no-clear"),
+        postmortem: args.raw("--postmortem").map(str::to_string),
+    })
 }
 
 fn main() {
-    let opts = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args).unwrap_or_else(|e| cli::exit(&e, &SPEC.usage()));
 
     if let Some(dir) = &opts.postmortem {
         match FlightDump::read_from(dir.as_ref()) {

@@ -23,7 +23,9 @@
 
 use std::sync::Arc;
 
+use qp_core::cli::{self, CliError, Spec};
 use qp_market::{Broker, SupportConfig};
+use qp_pricing::algorithms;
 use qp_server::{
     FlightRecorder, QuoteServer, ShardSet, DEFAULT_CACHE_CAPACITY, DEFAULT_SNAPSHOT_EVERY,
 };
@@ -35,46 +37,74 @@ use qp_workloads::Scale;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    for i in 0..args.len() {
-        if args[i] == flag {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = args[i].strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
+#[rustfmt::skip]
+const SPEC: Spec = Spec {
+    name: "serve",
+    about: "Serves the world/skewed workload until a SHUTDOWN frame arrives.",
+    flags: &[
+        ("--addr HOST:PORT", "listen address (default 127.0.0.1:7979)"),
+        ("--shards N", "broker replicas (default 2)"),
+        ("--support N", "support-set size (default 120)"),
+        ("--pool N", "anticipated queries (default 100)"),
+        ("--algorithm NAME", "registered pricing algorithm (default UIP)"),
+        ("--seed N", "valuation seed (default 42)"),
+        ("--metrics-dump", "print the final registry as Prometheus text"),
+        ("--data-dir DIR", "durable mode: WAL and snapshots in DIR"),
+        ("--fsync POLICY", "always | never | group:<N> (default group:32)"),
+        ("--snapshot-every N", "repricings between snapshots (default 8)"),
+    ],
+};
+
+struct Options {
+    addr: String,
+    shards: usize,
+    support: usize,
+    pool_size: usize,
+    algorithm: String,
+    seed: u64,
+    metrics_dump: bool,
+    data_dir: Option<String>,
+    fsync: FsyncPolicy,
+    snapshot_every: u64,
+}
+
+fn parse_args(args: &[String]) -> Result<Options, CliError> {
+    let args = SPEC.parse(args)?;
+    let fsync_policy = |s: &str| FsyncPolicy::parse(s).ok_or("expected always, never or group:<N>");
+    Ok(Options {
+        addr: args.raw("--addr").unwrap_or("127.0.0.1:7979").to_string(),
+        shards: args.value_with("--shards", cli::positive)?.unwrap_or(2),
+        support: args.value("--support")?.unwrap_or(120),
+        pool_size: args.value("--pool")?.unwrap_or(100),
+        algorithm: args
+            .value_with("--algorithm", algorithms::check_name)?
+            .unwrap_or_else(|| "UIP".to_string()),
+        seed: args.value("--seed")?.unwrap_or(42),
+        metrics_dump: args.switch("--metrics-dump"),
+        data_dir: args.raw("--data-dir").map(str::to_string),
+        fsync: args
+            .value_with("--fsync", fsync_policy)?
+            .unwrap_or_default(),
+        snapshot_every: args
+            .value("--snapshot-every")?
+            .unwrap_or(DEFAULT_SNAPSHOT_EVERY),
+    })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7979".to_string());
-    let shards: usize = arg_value(&args, "--shards")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    let support: usize = arg_value(&args, "--support")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(120);
-    let pool_size: usize = arg_value(&args, "--pool")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
-    let algorithm = arg_value(&args, "--algorithm").unwrap_or_else(|| "UIP".to_string());
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let metrics_dump = args.iter().any(|a| a == "--metrics-dump");
-    let data_dir = arg_value(&args, "--data-dir");
-    let fsync = arg_value(&args, "--fsync")
-        .map(|s| {
-            FsyncPolicy::parse(&s)
-                .unwrap_or_else(|| panic!("bad --fsync {s:?} (always | never | group:<N>)"))
-        })
-        .unwrap_or_default();
-    let snapshot_every: u64 = arg_value(&args, "--snapshot-every")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SNAPSHOT_EVERY);
-    assert!(shards > 0, "--shards must be positive");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        addr,
+        shards,
+        support,
+        pool_size,
+        algorithm,
+        seed,
+        metrics_dump,
+        data_dir,
+        fsync,
+        snapshot_every,
+    } = parse_args(&args).unwrap_or_else(|e| cli::exit(&e, &SPEC.usage()));
 
     let world_cfg = WorldConfig::at_scale(Scale::Test);
     let db = world::generate(&world_cfg);
